@@ -1,8 +1,9 @@
 // Command mroambench measures the compressed coverage substrate end to
 // end: for a ladder of trajectory counts it streams a paper-configuration
-// dataset into a coverage universe, corridor-compresses it, and runs a
-// 1-restart BLS solve on the compressed instance — optionally next to a
-// dense baseline solve whose regret must match bit-for-bit.
+// dataset straight into a corridor-compressed coverage universe and runs a
+// 1-restart BLS solve on it — optionally next to a dense baseline, built by
+// the materializing Generate + BuildUniverse path, whose regret must match
+// bit-for-bit.
 //
 // The JSON report (see BENCH_coverage.json at the repository root for a
 // recorded run) is the evidence behind the "paper-scale instances solve
@@ -36,15 +37,17 @@ import (
 
 // Run is one rung of the size ladder in the JSON report.
 type Run struct {
-	Trajectories int     `json:"trajectories"`
-	BuildMS      float64 `json:"build_ms"`
-	CompressMS   float64 `json:"compress_ms"`
-	Covered      int     `json:"covered_trajectories"`
-	Corridors    int     `json:"corridors"`
-	Ratio        float64 `json:"compression_ratio"`
+	Trajectories int `json:"trajectories"`
+	// BuildMS is the streaming build: generation, the spatial join and
+	// corridor assignment.
+	BuildMS   float64 `json:"build_ms"`
+	Covered   int     `json:"covered_trajectories"`
+	Corridors int     `json:"corridors"`
+	Ratio     float64 `json:"compression_ratio"`
 	// DenseListBytes / CorridorListBytes are the coverage-list payloads
 	// (4 bytes per entry) on each substrate — the state every Counter scan
-	// walks and the number the compression ratio acts on.
+	// walks and the number the compression ratio acts on. The dense payload
+	// is 4 × TotalSupply: one entry per (billboard, trajectory) hit.
 	DenseListBytes    int64   `json:"dense_list_bytes"`
 	CorridorListBytes int64   `json:"corridor_list_bytes"`
 	HeapBytes         uint64  `json:"heap_bytes"`
@@ -62,6 +65,7 @@ type Report struct {
 	Bench      string  `json:"bench"`
 	Go         string  `json:"go"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
+	NProc      int     `json:"nproc"`
 	City       string  `json:"city"`
 	Seed       uint64  `json:"seed"`
 	Lambda     float64 `json:"lambda"`
@@ -98,6 +102,7 @@ func run(args []string, out io.Writer) error {
 		Bench:      "coverage-substrate",
 		Go:         runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NProc:      runtime.NumCPU(),
 		City:       strings.ToUpper(*city),
 		Seed:       *seed,
 		Lambda:     market.DefaultLambda,
@@ -165,21 +170,18 @@ func benchOne(out io.Writer, city string, trajectories int, seed uint64, restart
 	if err != nil {
 		return Run{}, err
 	}
-	dense := streamed.Universe
 	buildMS := msSince(t0)
-
-	t0 = time.Now()
-	compressed, stats := coverage.Compress(dense)
-	compressMS := msSince(t0)
+	// The streamed universe is already compressed; Compress returns it
+	// unchanged with its statistics.
+	compressed, stats := coverage.Compress(streamed.Universe)
 
 	r := Run{
 		Trajectories:      trajectories,
 		BuildMS:           buildMS,
-		CompressMS:        compressMS,
 		Covered:           stats.Covered,
 		Corridors:         stats.Corridors,
 		Ratio:             stats.Ratio,
-		DenseListBytes:    listBytes(dense),
+		DenseListBytes:    4 * compressed.TotalSupply(),
 		CorridorListBytes: listBytes(compressed),
 	}
 	runtime.GC()
@@ -214,6 +216,14 @@ func benchOne(out io.Writer, city string, trajectories int, seed uint64, restart
 		city, trajectories, r.CompressedSolveMS, regret, r.Advertisers)
 
 	if withDense {
+		d, err := dataset.Generate(cfg)
+		if err != nil {
+			return Run{}, err
+		}
+		dense, err := d.BuildUniverse(market.DefaultLambda)
+		if err != nil {
+			return Run{}, err
+		}
 		denseMS, denseRegret, _, err := solve(dense)
 		if err != nil {
 			return Run{}, err

@@ -30,6 +30,9 @@ func TestBenchSmallLadder(t *testing.T) {
 	if len(rep.Runs) != 2 {
 		t.Fatalf("%d runs, want 2", len(rep.Runs))
 	}
+	if rep.NProc < 1 || rep.GOMAXPROCS < 1 {
+		t.Errorf("host facts missing: nproc %d, gomaxprocs %d", rep.NProc, rep.GOMAXPROCS)
+	}
 	for _, r := range rep.Runs {
 		if r.Corridors <= 0 || r.Corridors > r.Trajectories {
 			t.Errorf("|T|=%d: corridors %d out of range", r.Trajectories, r.Corridors)

@@ -60,8 +60,7 @@ func statsFor(raw, covered, corridors int) CompressionStats {
 // IDs. A universe that is already compressed is returned unchanged.
 //
 // Corridor IDs are assigned in ascending order of each class's smallest raw
-// trajectory ID, so the result is deterministic and independent of internal
-// grouping order.
+// trajectory ID (see CorridorAssigner), so the result is deterministic.
 func Compress(u *Universe) (*Universe, CompressionStats) {
 	if u.weights != nil {
 		var covered int64
@@ -70,110 +69,161 @@ func Compress(u *Universe) (*Universe, CompressionStats) {
 		}
 		return u, statsFor(u.numTrajectories, int(covered), u.numIDs)
 	}
-
-	// Invert the billboard→trajectory lists into one CSR signature table:
-	// sig(t) = ascending billboard IDs covering t. Iterating billboards in
-	// ascending order builds each row already sorted.
-	n := u.numIDs
-	deg := make([]int32, n)
-	for _, l := range u.lists {
-		for _, t := range l {
-			deg[t]++
-		}
-	}
-	offsets := make([]int64, n+1)
-	for t := 0; t < n; t++ {
-		offsets[t+1] = offsets[t] + int64(deg[t])
-	}
-	sig := make([]int32, offsets[n])
-	fill := make([]int64, n)
-	copy(fill, offsets[:n])
-	for b, l := range u.lists {
-		for _, t := range l {
-			sig[fill[t]] = int32(b)
-			fill[t]++
-		}
-	}
-	sigOf := func(t int32) []int32 { return sig[offsets[t]:offsets[t+1]] }
-
-	// Group trajectories by signature: hash buckets, then exact
-	// verification inside each bucket so collisions can never merge two
-	// distinct signatures. Bucket members arrive in ascending trajectory
-	// order, so each class's first member is its smallest.
-	buckets := make(map[uint64][]int32, n)
-	covered := 0
-	for t := int32(0); int(t) < n; t++ {
-		s := sigOf(t)
-		if len(s) == 0 {
-			continue // uncovered: contributes to no influence, needs no ID
-		}
-		covered++
-		h := hashSignature(s)
-		buckets[h] = append(buckets[h], t)
-	}
-
-	type class struct {
-		rep     int32 // smallest member trajectory: the ID-order key
-		members int32
-	}
-	var classes []class
-	for _, bucket := range buckets {
-		// Nearly every bucket is a single class; the quadratic split only
-		// runs across genuinely colliding signatures.
-		for len(bucket) > 0 {
-			rep := bucket[0]
-			repSig := sigOf(rep)
-			members := int32(0)
-			rest := bucket[:0]
-			for _, t := range bucket {
-				if slices.Equal(sigOf(t), repSig) {
-					members++
-				} else {
-					rest = append(rest, t)
-				}
-			}
-			classes = append(classes, class{rep: rep, members: members})
-			bucket = rest
-		}
-	}
-	slices.SortFunc(classes, func(a, b class) int { return int(a.rep - b.rep) })
-
-	// Emit corridor-ID lists: walking classes in corridor-ID order appends
-	// ascending IDs to every billboard, so the new lists are born sorted.
-	weights := make([]int32, len(classes))
-	newLists := make([]List, len(u.lists))
-	newDeg := make([]int32, len(u.lists))
-	for _, cl := range classes {
-		for _, b := range sigOf(cl.rep) {
-			newDeg[b]++
-		}
-	}
-	for b := range newLists {
-		newLists[b] = make(List, 0, newDeg[b])
-	}
-	for cid, cl := range classes {
-		weights[cid] = cl.members
-		for _, b := range sigOf(cl.rep) {
-			newLists[b] = append(newLists[b], int32(cid))
-		}
-	}
-
-	cu, err := NewWeightedUniverse(u.numTrajectories, newLists, weights)
+	a := NewCorridorAssigner(len(u.lists))
+	a.AddChunk(u.lists, u.numIDs)
+	cu, stats, err := a.Universe(u.numTrajectories)
 	if err != nil {
-		panic(fmt.Sprintf("coverage: Compress produced invalid universe: %v", err))
+		panic(fmt.Sprintf("coverage: Compress: %v", err))
 	}
-	// The compressed substrate must preserve every per-billboard influence
-	// exactly; a mismatch means the grouping above is wrong, and silently
-	// returning it would corrupt every downstream solve.
-	for b := range u.lists {
-		if cu.Degree(b) != u.Degree(b) {
-			panic(fmt.Sprintf("coverage: Compress changed Degree(%d): %d != %d", b, cu.Degree(b), u.Degree(b)))
-		}
-	}
-	return cu, statsFor(u.numTrajectories, covered, len(classes))
+	return cu, stats
 }
 
-// hashSignature is FNV-1a over the signature's billboard IDs.
+// A CorridorAssigner builds a corridor-compressed universe from coverage fed
+// in ascending trajectory order, one chunk at a time, so the uncompressed
+// lists of more than one chunk never exist at once. Each covered
+// trajectory's signature — its ascending billboard IDs — is hashed and
+// matched exactly against the signatures already seen, so a hash collision
+// costs a comparison and can never merge two classes. A new signature gets
+// the next corridor ID, which is appended to each of its billboards' lists;
+// a known one adds one to its corridor's weight. Corridor IDs therefore
+// ascend with each class's smallest trajectory, and every list is born
+// sorted.
+type CorridorAssigner struct {
+	lists   []List  // per-billboard corridor IDs
+	weights []int32 // raw trajectories per corridor; never nil
+	rawHits []int   // per-billboard trajectories fed: the uncompressed Degree
+
+	// Known signatures back to back: corridor c's is
+	// arena[start[c]:start[c+1]]. heads maps a signature hash to the newest
+	// corridor with that hash, and next[c] to the previous one (-1 ends a
+	// chain).
+	arena []int32
+	start []int
+	heads map[uint64]int32
+	next  []int32
+
+	// Per-chunk inversion scratch, reused across chunks.
+	ends []int
+	sigs []int32
+}
+
+// NewCorridorAssigner returns an assigner for a universe of numBillboards
+// billboards.
+func NewCorridorAssigner(numBillboards int) *CorridorAssigner {
+	return &CorridorAssigner{
+		lists:   make([]List, numBillboards),
+		weights: []int32{},
+		rawHits: make([]int, numBillboards),
+		start:   []int{0},
+		heads:   make(map[uint64]int32),
+	}
+}
+
+// AddChunk feeds the next n trajectories. lists[b] holds the chunk-local IDs
+// in [0, n) of the trajectories billboard b covers, without duplicates;
+// there must be one list per billboard. Chunks must arrive in ascending
+// trajectory order. The lists are only read during the call.
+func (a *CorridorAssigner) AddChunk(lists []List, n int) {
+	if len(lists) != len(a.lists) {
+		panic(fmt.Sprintf("coverage: AddChunk with %d lists, assigner has %d billboards", len(lists), len(a.lists)))
+	}
+	// Invert the lists into one CSR signature table. Counting sort: ends[t]
+	// first counts t's hits, becomes the start of t's row after the prefix
+	// sum, and is advanced to the end of the row by the fill. Walking
+	// billboards in ascending order builds each row already sorted.
+	ends := slices.Grow(a.ends[:0], n)[:n]
+	clear(ends)
+	total := 0
+	for b, l := range lists {
+		a.rawHits[b] += len(l)
+		total += len(l)
+		for _, t := range l {
+			ends[t]++
+		}
+	}
+	pos := 0
+	for t, d := range ends {
+		ends[t] = pos
+		pos += d
+	}
+	sigs := slices.Grow(a.sigs[:0], total)[:total]
+	for b, l := range lists {
+		for _, t := range l {
+			sigs[ends[t]] = int32(b)
+			ends[t]++
+		}
+	}
+	lo := 0
+	for _, hi := range ends {
+		if hi > lo { // an uncovered trajectory needs no corridor
+			sig := sigs[lo:hi]
+			a.add(sig, hashSignature(sig))
+		}
+		lo = hi
+	}
+	a.ends, a.sigs = ends, sigs
+}
+
+// add assigns one covered trajectory with signature sig and its hash h.
+func (a *CorridorAssigner) add(sig []int32, h uint64) {
+	head, ok := a.heads[h]
+	if !ok {
+		head = -1
+	}
+	for c := head; c >= 0; c = a.next[c] {
+		if slices.Equal(a.arena[a.start[c]:a.start[c+1]], sig) {
+			a.weights[c]++
+			return
+		}
+	}
+	c := int32(len(a.weights))
+	a.weights = append(a.weights, 1)
+	a.next = append(a.next, head)
+	a.heads[h] = c
+	a.arena = append(a.arena, sig...)
+	a.start = append(a.start, len(a.arena))
+	for _, b := range sig {
+		a.lists[b] = append(a.lists[b], c)
+	}
+}
+
+// Universe returns the compressed universe over numTrajectories raw
+// trajectories, and its compression statistics. It fails if the corridors
+// do not reproduce the raw hit count of every billboard: the compressed
+// substrate must preserve every per-billboard influence exactly, and a
+// mismatch means the assignment is wrong — returning it would corrupt every
+// downstream solve.
+func (a *CorridorAssigner) Universe(numTrajectories int) (*Universe, CompressionStats, error) {
+	// The lists grew by appends interleaved across billboards; pack them
+	// back to back in billboard order, without the growth slack.
+	total := 0
+	for _, l := range a.lists {
+		total += len(l)
+	}
+	packed := make([]int32, 0, total)
+	lists := make([]List, len(a.lists))
+	for b, l := range a.lists {
+		start := len(packed)
+		packed = append(packed, l...)
+		lists[b] = packed[start:len(packed):len(packed)]
+	}
+	u, err := NewWeightedUniverse(numTrajectories, lists, a.weights)
+	if err != nil {
+		return nil, CompressionStats{}, fmt.Errorf("corridor assignment produced an invalid universe: %w", err)
+	}
+	for b, hits := range a.rawHits {
+		if u.Degree(b) != hits {
+			return nil, CompressionStats{}, fmt.Errorf("corridor assignment changed Degree(%d): %d != %d raw hits", b, u.Degree(b), hits)
+		}
+	}
+	covered := 0
+	for _, w := range a.weights {
+		covered += int(w)
+	}
+	return u, statsFor(numTrajectories, covered, len(a.weights)), nil
+}
+
+// hashSignature is FNV-1a over the signature, one billboard ID per step.
 func hashSignature(s []int32) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -181,12 +231,8 @@ func hashSignature(s []int32) uint64 {
 	)
 	h := uint64(offset64)
 	for _, b := range s {
-		v := uint32(b)
-		for i := 0; i < 4; i++ {
-			h ^= uint64(v & 0xff)
-			h *= prime64
-			v >>= 8
-		}
+		h ^= uint64(uint32(b))
+		h *= prime64
 	}
 	return h
 }

@@ -31,9 +31,7 @@ import (
 type List []int32
 
 // NewList sorts and deduplicates ids into a valid List. The input slice may
-// be reused as backing storage. (slices.Sort, not sort.Slice: the radix-ish
-// pdqsort specialization for ordered element types avoids the interface
-// indirection per comparison — this is the hottest sort in dataset builds.)
+// be reused as backing storage.
 func NewList(ids []int32) List {
 	slices.Sort(ids)
 	out := ids[:0]

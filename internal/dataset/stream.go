@@ -8,6 +8,7 @@ import (
 	"repro/internal/billboard"
 	"repro/internal/coverage"
 	"repro/internal/geo"
+	"repro/internal/influence"
 	"repro/internal/rng"
 	"repro/internal/trajectory"
 )
@@ -15,18 +16,23 @@ import (
 // Streaming paper-scale generation. Generate materializes every trajectory
 // before the spatial join, which at the paper's real dataset sizes
 // (Table 5: |T| = 1.7M NYC, 2.2M SG) means tens of millions of points —
-// gigabytes of transient geometry that the algorithms never look at again.
-// GenerateUniverse instead generates trips in fixed-size chunks, joins each
-// chunk against the billboards with a chunk-local grid index, appends the
-// chunk's coverage, and discards the geometry. Peak memory is one chunk of
-// trips plus the accumulated coverage lists.
+// gigabytes of transient geometry that the algorithms never look at again —
+// and BuildUniverse then holds one raw coverage entry per (billboard,
+// trajectory) hit. GenerateUniverse instead runs one fused pipeline per
+// fixed-size chunk of trips: generate the chunk and grid-index its points,
+// join it against the billboards (influence.Joiner), and feed the chunk's
+// coverage to a coverage.CorridorAssigner, which folds it straight into
+// corridors. A generator goroutine builds chunk k+1 while chunk k is joined
+// and assigned, reusing two chunk buffers. Peak memory is two chunks of
+// trips, one chunk of raw coverage and the corridor lists; the uncompressed
+// universe is never built.
 //
-// The streamed build is bit-identical to Generate + BuildUniverse for the
-// same Config and λ: the fixed infrastructure (grid/billboards, routes/
-// ridership) comes from the same named RNG substreams, trips are drawn from
-// one sequential "trips" substream exactly as Generate draws them, and
-// coverage is order-insensitive (chunk trip IDs ascend, so per-chunk sorted
-// lists concatenate into globally sorted lists). Equivalence is enforced by
+// The streamed build is bit-identical to Compress(Generate + BuildUniverse)
+// for the same Config and λ: the fixed infrastructure (grid/billboards,
+// routes/ridership) comes from the same named RNG substreams, trips are
+// drawn from one sequential "trips" substream exactly as Generate draws
+// them, and chunks reach the assigner in ascending trajectory order, so
+// corridors get the IDs Compress assigns. Equivalence is enforced by
 // TestStreamedBuildMatchesMaterialized.
 
 // PaperNYC returns the NYC configuration at the paper's full scale
@@ -82,28 +88,15 @@ func (s *Streamed) Table5() Table5Row {
 	}
 }
 
-// GenerateUniverse builds the coverage universe for the configuration at
-// the given options without ever materializing the full trajectory set.
+// GenerateUniverse builds the corridor-compressed coverage universe for
+// the configuration at the given options without ever materializing the
+// full trajectory set or its uncompressed coverage.
 func GenerateUniverse(c Config, opts StreamOptions) (*Streamed, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.Lambda <= 0 {
 		return nil, fmt.Errorf("dataset: lambda %v must be positive", opts.Lambda)
-	}
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		chunk = 100_000
-	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Mirror influence.BuildCoverage's default cell size so the chunk-local
-	// grids probe identical neighborhoods.
-	cell := opts.Lambda
-	if cell < 10 {
-		cell = 10
 	}
 
 	r := rng.New(c.Seed).Derive(c.City.String())
@@ -128,70 +121,7 @@ func GenerateUniverse(c Config, opts StreamOptions) (*Streamed, error) {
 	}
 	bdb := billboard.NewDB(bills)
 
-	lists := make([]coverage.List, len(bills))
-	var stats trajectory.Stats
-	var sumDist, sumTime float64
-
-	var points []geo.Point
-	var owner []int32
-	for base := 0; base < c.Trajectories; base += chunk {
-		n := chunk
-		if base+n > c.Trajectories {
-			n = c.Trajectories - base
-		}
-		points = points[:0]
-		owner = owner[:0]
-		for i := 0; i < n; i++ {
-			t := nextTrip()
-			t.ID = int32(base + i)
-			if err := t.Validate(); err != nil {
-				return nil, err
-			}
-			sumDist += t.Distance()
-			sumTime += t.TravelTime()
-			stats.TotalPoints += len(t.Points)
-			points = append(points, t.Points...)
-			for range t.Points {
-				owner = append(owner, t.ID)
-			}
-		}
-		stats.Count += n
-
-		index := geo.NewGrid(points, cell)
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				buf := make([]int32, 0, 1024)
-				ids := make([]int32, 0, 256)
-				for b := range jobs {
-					buf = index.Within(bdb.At(b).Loc, opts.Lambda, buf[:0])
-					ids = ids[:0]
-					for _, pi := range buf {
-						ids = append(ids, owner[pi])
-					}
-					// Chunk trip IDs all exceed every earlier chunk's, so
-					// appending the sorted chunk list keeps the billboard's
-					// full list sorted and duplicate-free.
-					chunkList := coverage.NewList(append([]int32(nil), ids...))
-					lists[b] = append(lists[b], chunkList...)
-				}
-			}()
-		}
-		for b := 0; b < bdb.Len(); b++ {
-			jobs <- b
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	if stats.Count > 0 {
-		stats.AvgDistanceM = sumDist / float64(stats.Count)
-		stats.AvgTravelTime = sumTime / float64(stats.Count)
-	}
-
-	u, err := coverage.NewUniverse(c.Trajectories, lists)
+	u, stats, err := streamUniverse(c.Trajectories, nextTrip, bdb, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -203,4 +133,119 @@ func GenerateUniverse(c Config, opts StreamOptions) (*Streamed, error) {
 		return nil, err
 	}
 	return &Streamed{Config: c, Universe: u, Billboards: bdb, Stats: stats}, nil
+}
+
+// tripChunk is one chunk of generated trips: every point, the chunk-local
+// index of the trip owning each point, and a grid over the points.
+type tripChunk struct {
+	n      int
+	points []geo.Point
+	owner  []int32
+	index  *geo.Grid
+	err    error // a generated trip failed validation
+}
+
+// streamUniverse draws total trips from nextTrip and returns their
+// corridor-compressed coverage of bdb and their Table-5 statistics. One
+// goroutine generates chunks while this one joins and assigns them; it
+// has exited by the time streamUniverse returns.
+func streamUniverse(total int, nextTrip func() trajectory.Trajectory, bdb *billboard.DB, opts StreamOptions) (*coverage.Universe, trajectory.Stats, error) {
+	size := opts.ChunkSize
+	if size <= 0 {
+		size = 100_000
+	}
+	workers := opts.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// Mirror influence.BuildCoverage's default cell size so the chunk-local
+	// grids probe identical neighborhoods.
+	cell := max(opts.Lambda, 10)
+
+	// Two buffers circulate: the generator fills one while the other is
+	// joined, and gets it back through free once its coverage is assigned.
+	free := make(chan *tripChunk, 2)
+	free <- new(tripChunk)
+	free <- new(tripChunk)
+	chunks := make(chan *tripChunk)
+	quit := make(chan struct{})
+	var stats trajectory.Stats // written by the generator before it closes chunks
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(chunks)
+		stats = generateChunks(total, size, cell, nextTrip, free, chunks, quit)
+	}()
+	defer func() {
+		close(quit)
+		wg.Wait()
+	}()
+
+	joiner := influence.NewJoiner(bdb, opts.Lambda, workers)
+	corridors := coverage.NewCorridorAssigner(bdb.Len())
+	for ch := range chunks {
+		if ch.err != nil {
+			return nil, trajectory.Stats{}, ch.err
+		}
+		corridors.AddChunk(joiner.Join(ch.index, ch.owner, ch.n, nil), ch.n)
+		free <- ch
+	}
+	u, _, err := corridors.Universe(total)
+	if err != nil {
+		return nil, trajectory.Stats{}, fmt.Errorf("dataset: %w", err)
+	}
+	return u, stats, nil
+}
+
+// generateChunks fills buffers from free with successive chunks of trips
+// and sends them on out, until total trips are sent, a trip fails
+// validation (the chunk carrying the error is the last sent), or quit is
+// closed. It returns the statistics of all trips, accumulated in trip order
+// exactly as trajectory.DB.ComputeStats does.
+func generateChunks(total, size int, cell float64, nextTrip func() trajectory.Trajectory,
+	free <-chan *tripChunk, out chan<- *tripChunk, quit <-chan struct{}) trajectory.Stats {
+	var stats trajectory.Stats
+	var sumDist, sumTime float64
+	for base := 0; base < total; base += size {
+		var ch *tripChunk
+		select {
+		case ch = <-free:
+		case <-quit:
+			return stats
+		}
+		ch.n = min(size, total-base)
+		ch.points, ch.owner = ch.points[:0], ch.owner[:0]
+		for i := 0; i < ch.n; i++ {
+			t := nextTrip()
+			t.ID = int32(base + i)
+			if ch.err = t.Validate(); ch.err != nil {
+				break
+			}
+			sumDist += t.Distance()
+			sumTime += t.TravelTime()
+			stats.TotalPoints += len(t.Points)
+			ch.points = append(ch.points, t.Points...)
+			for range t.Points {
+				ch.owner = append(ch.owner, int32(i))
+			}
+		}
+		if ch.err == nil {
+			ch.index = geo.NewGrid(ch.points, cell)
+		}
+		select {
+		case out <- ch:
+		case <-quit:
+			return stats
+		}
+		if ch.err != nil {
+			return stats
+		}
+	}
+	stats.Count = total
+	if total > 0 {
+		stats.AvgDistanceM = sumDist / float64(total)
+		stats.AvgTravelTime = sumTime / float64(total)
+	}
+	return stats
 }

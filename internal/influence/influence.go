@@ -18,7 +18,6 @@ package influence
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/billboard"
 	"repro/internal/coverage"
@@ -90,9 +89,7 @@ func BuildCoverage(tdb *trajectory.DB, bdb *billboard.DB, opts Options) (*covera
 	}
 
 	points, owner := tdb.AllPoints()
-	var index interface {
-		Within(q geo.Point, r float64, dst []int32) []int32
-	}
+	var index PointIndex
 	switch opts.Index {
 	case GridIndex:
 		index = geo.NewGrid(points, cell)
@@ -102,10 +99,11 @@ func BuildCoverage(tdb *trajectory.DB, bdb *billboard.DB, opts Options) (*covera
 		return nil, fmt.Errorf("influence: unknown index kind %d", opts.Index)
 	}
 
-	// Per-point second-of-day, needed only when time filtering is on.
-	var pointTime []float64
+	// A digital slot only counts encounters during its share of the day,
+	// which needs each point's second-of-day.
+	var keep func(b int, point int32) bool
 	if opts.SlotsPerDay > 0 {
-		pointTime = make([]float64, 0, len(points))
+		pointTime := make([]float64, 0, len(points))
 		for id := 0; id < tdb.Len(); id++ {
 			t := tdb.At(id)
 			base := float64(t.Start.Unix() % secondsPerDay)
@@ -119,39 +117,14 @@ func BuildCoverage(tdb *trajectory.DB, bdb *billboard.DB, opts Options) (*covera
 				pointTime = append(pointTime, sec)
 			}
 		}
+		keep = func(b int, point int32) bool {
+			bb := bdb.At(b)
+			return bb.Kind != billboard.DigitalSlot ||
+				slotOf(pointTime[point], opts.SlotsPerDay) == int(bb.Slot)%opts.SlotsPerDay
+		}
 	}
 
-	lists := make([]coverage.List, bdb.Len())
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]int32, 0, 1024)
-			ids := make([]int32, 0, 256)
-			for b := range jobs {
-				bb := bdb.At(b)
-				buf = index.Within(bb.Loc, opts.Lambda, buf[:0])
-				ids = ids[:0]
-				for _, pi := range buf {
-					if pointTime != nil && bb.Kind == billboard.DigitalSlot {
-						if slotOf(pointTime[pi], opts.SlotsPerDay) != int(bb.Slot)%opts.SlotsPerDay {
-							continue
-						}
-					}
-					ids = append(ids, owner[pi])
-				}
-				lists[b] = coverage.NewList(append([]int32(nil), ids...))
-			}
-		}()
-	}
-	for b := 0; b < bdb.Len(); b++ {
-		jobs <- b
-	}
-	close(jobs)
-	wg.Wait()
-
+	lists := NewJoiner(bdb, opts.Lambda, workers).Join(index, owner, tdb.Len(), keep)
 	return coverage.NewUniverse(tdb.Len(), lists)
 }
 
