@@ -139,16 +139,13 @@ func (c *Catalog) Patch(name string, ops []PatchOp) (*Entry, PatchResult, error)
 
 	inst, err := core.NewInstanceWithImpressions(old.Instance.Universe(), advs,
 		old.Instance.Gamma(), old.Instance.Impressions())
+	if err == nil {
+		// Models are stateless over plans and keyed to the universe (which
+		// is shared), so the predecessor's model reattaches verbatim.
+		inst, err = inst.WithModel(old.Instance.Model())
+	}
 	if err != nil {
 		return nil, PatchResult{}, fmt.Errorf("catalog: patch %q: %w", name, err)
-	}
-	// Models are stateless over plans and keyed to the universe (which is
-	// shared), so the predecessor's model reattaches verbatim.
-	if old.Instance.Model().Kind() != core.ModelBase {
-		inst, err = inst.WithModel(old.Instance.Model())
-		if err != nil {
-			return nil, PatchResult{}, fmt.Errorf("catalog: patch %q: %w", name, err)
-		}
 	}
 
 	e := &Entry{Name: old.Name, Spec: old.Spec, Info: old.Info, Instance: inst}

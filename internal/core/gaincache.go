@@ -29,19 +29,31 @@ package core
 // the freed billboard into the other advertisers' heaps, and whole-set
 // operations (ExchangeSets, CopyFrom) invalidate the affected heaps. The
 // cache is only used under the union-coverage measure (impression threshold
-// k = 1) and the base regret model; for k > 1 gains are not submodular, and
-// constrained models (model.go) filter candidates by feasibility, so both
-// cases make bestBillboardFor fall back to the full scan.
+// k = 1); for k > 1 gains are not submodular and bestBillboardFor falls
+// back to the full scan.
+//
+// The same heap serves every regret model. A popped top that the model's
+// CanAssign rejects is dropped, not re-pushed. That is exact because the
+// Model contract makes feasible sets downward closed: if S_i ∪ {b} is
+// infeasible, so is S'_i ∪ {b} for every S'_i ⊇ S_i, so b stays rejected
+// while S_i only grows — and every shrink of S_i (Release, ExchangeSets,
+// CopyFrom) drops i's heap, which is rebuilt from the whole unassigned
+// pool. The pruning bound dominates every candidate, so it dominates the
+// feasible ones.
 
 // CacheStats counts the effectiveness of the greedy's billboard selection
 // engine for one plan. A "candidate" is an unassigned billboard with
 // non-zero degree — exactly the set the reference full scan evaluates per
 // selection call — so, because the cache provably makes the same
 // selections, Hits+Misses over a CELF-mode run equals Misses over the
-// corresponding scan-mode run (see TestGainCacheStatsMatchRecount).
+// corresponding scan-mode run under an unconstrained model (see
+// TestGainCacheStatsMatchRecount).
 type CacheStats struct {
 	// Hits counts candidate evaluations the CELF pruning bound avoided:
-	// per selection call, the eligible candidates left unevaluated.
+	// per selection call, the eligible candidates left unevaluated. Under
+	// a constrained model it also counts the heap tops skipped as
+	// infeasible, so Hits+Misses then exceeds the scan's Misses (the scan
+	// only counts candidates CanAssign accepts).
 	Hits int64
 	// Misses counts candidates whose marginal gain was exactly evaluated,
 	// whether off the heap (CELF) or by the full scan.
@@ -230,13 +242,11 @@ const celfMinBillboards = 400
 // planUsesCELF reports whether bestBillboardFor should route through the
 // gain cache for this plan. The impression-threshold check is a
 // correctness requirement — k > 1 gains are not submodular — and applies
-// in every mode, as does the base-model check: a constrained model can
-// declare heap tops infeasible, and popping them would permanently lose
-// their entries (the heap only re-inserts on release), so non-base models
-// always take the full scan with its per-candidate CanAssign filter. The
-// size threshold is a performance heuristic and only applies in celfAuto.
+// in every mode. The size threshold is a performance heuristic and only
+// applies in celfAuto. The regret model plays no part: infeasible heap
+// tops are dropped exactly (see the file comment).
 func planUsesCELF(p *Plan) bool {
-	if p.inst.Impressions() != 1 || !p.inst.base {
+	if p.inst.Impressions() != 1 {
 		return false
 	}
 	switch celfMode {
@@ -289,7 +299,9 @@ func bestBillboardCELF(p *Plan, i int) (best int, ok bool) {
 		}
 		c.pop()
 		c.inHeap[top.b] = false
-		if p.owner[top.b] != Unassigned {
+		// An owned top is stale; an infeasible one stays infeasible while
+		// S_i grows (downward closure), so both are dropped for good.
+		if p.owner[top.b] != Unassigned || !p.inst.model.CanAssign(p, i, top.b) {
 			continue
 		}
 		deg := u.Degree(top.b)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/coverage"
@@ -29,7 +31,11 @@ func withCELF(f func()) {
 // TestGainCacheMatchesScanAcrossAlgorithms: all four methods must return
 // plans identical (sets, regret) to the reference full-scan implementation
 // on seeded random instances spanning the workload space, including the
-// degenerate γ=0 and γ=1 corners where greedy keys tie en masse.
+// degenerate γ=0 and γ=1 corners where greedy keys tie en masse, never
+// spending more marginal evaluations than the scan. Each trial also solves
+// a zonal copy whose cap (over 1–4 zones) is below the per-zone load the
+// unconstrained G-Global plan reaches, so the cap binds and CELF has to
+// drop infeasible heap tops.
 func TestGainCacheMatchesScanAcrossAlgorithms(t *testing.T) {
 	r := rng.New(4242)
 	for trial := 0; trial < 12; trial++ {
@@ -44,33 +50,76 @@ func TestGainCacheMatchesScanAcrossAlgorithms(t *testing.T) {
 			ALSAlgorithm{Opts: opts},
 			BLSAlgorithm{Opts: opts},
 		}
-		for _, alg := range algs {
-			var want *Plan
-			withScanReference(func() { want = alg.Solve(inst) })
-			var got *Plan
-			withCELF(func() { got = alg.Solve(inst) })
-			if err := got.Validate(); err != nil {
-				t.Fatalf("trial %d %s: %v", trial, alg.Name(), err)
-			}
-			if got.TotalRegret() != want.TotalRegret() {
-				t.Fatalf("trial %d %s: regret %v (cache) != %v (scan)",
-					trial, alg.Name(), got.TotalRegret(), want.TotalRegret())
-			}
-			var sg, sw []int
-			for i := 0; i < inst.NumAdvertisers(); i++ {
-				sg, sw = got.Set(i, sg[:0]), want.Set(i, sw[:0])
-				if len(sg) != len(sw) {
-					t.Fatalf("trial %d %s adv %d: |S| %d != %d", trial, alg.Name(), i, len(sg), len(sw))
-				}
-				for k := range sg {
-					if sg[k] != sw[k] {
-						t.Fatalf("trial %d %s adv %d: sets differ %v vs %v",
-							trial, alg.Name(), i, sg, sw)
-					}
-				}
+		checkCELFMatchesScan(t, fmt.Sprintf("trial %d base", trial), inst, algs)
+
+		// A derived stream keeps the base instances of later trials fixed.
+		zr := r.Derive("zonal")
+		zones := 1 + zr.Intn(4)
+		zoneOf := make([]int, inst.Universe().NumBillboards())
+		for b := range zoneOf {
+			zoneOf[b] = b % zones
+		}
+		var peak int64
+		withScanReference(func() { peak = maxZoneLoad(GGlobal(inst), zoneOf, zones) })
+		if peak < 2 {
+			continue // no cap below the peak exists
+		}
+		m, err := NewZonalModel(zoneOf, 1+int64(zr.Intn(int(peak-1))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		zinst, err := inst.WithModel(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCELFMatchesScan(t, fmt.Sprintf("trial %d zonal (%d zones, cap %d < %d)",
+			trial, zones, m.Cap(), peak), zinst, algs)
+	}
+}
+
+// checkCELFMatchesScan solves inst with every algorithm under the scan
+// reference and with CELF forced on, requiring valid, identical plans and
+// no more CELF evaluations than the scan's.
+func checkCELFMatchesScan(t *testing.T, label string, inst *Instance, algs []Algorithm) {
+	t.Helper()
+	for _, alg := range algs {
+		var want, got *Plan
+		withScanReference(func() { want = alg.Solve(inst) })
+		withCELF(func() { got = alg.Solve(inst) })
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s %s: %v", label, alg.Name(), err)
+		}
+		if got.TotalRegret() != want.TotalRegret() {
+			t.Fatalf("%s %s: regret %v (cache) != %v (scan)",
+				label, alg.Name(), got.TotalRegret(), want.TotalRegret())
+		}
+		var sg, sw []int
+		for i := 0; i < inst.NumAdvertisers(); i++ {
+			sg, sw = got.Set(i, sg[:0]), want.Set(i, sw[:0])
+			if !slices.Equal(sg, sw) {
+				t.Fatalf("%s %s adv %d: sets differ %v vs %v", label, alg.Name(), i, sg, sw)
 			}
 		}
+		if got.Evals() > want.Evals() {
+			t.Fatalf("%s %s: CELF evals %d > scan evals %d",
+				label, alg.Name(), got.Evals(), want.Evals())
+		}
 	}
+}
+
+// maxZoneLoad returns the largest influence supply any advertiser of p
+// holds in one zone of the given partition.
+func maxZoneLoad(p *Plan, zoneOf []int, zones int) int64 {
+	u := p.Instance().Universe()
+	var peak int64
+	for i := 0; i < p.Instance().NumAdvertisers(); i++ {
+		load := make([]int64, zones)
+		for _, b := range p.Set(i, nil) {
+			load[zoneOf[b]] += int64(u.Degree(b))
+			peak = max(peak, load[zoneOf[b]])
+		}
+	}
+	return peak
 }
 
 // TestGainCacheReducesEvals: the point of the CELF heap — the greedy must

@@ -20,12 +20,14 @@ import (
 // deterministic. Billboards with I({o}) = 0 can never change any influence
 // and are skipped. Returns ok=false if no eligible billboard exists.
 //
-// Under the union-coverage measure on large universes the selection runs
-// on the lazy-greedy gain cache (gaincache.go), which returns the
-// identical billboard while evaluating far fewer marginal gains; small
-// universes keep the full scan (heap upkeep would cost more than it
-// saves), and the impression-count measure (k > 1) is not submodular and
-// always uses the scan. See planUsesCELF.
+// Only billboards the model's CanAssign hook accepts are candidates, so
+// the greedy only ever selects feasible moves. Under the union-coverage
+// measure on large universes the selection runs on the lazy-greedy gain
+// cache (gaincache.go) for every regret model, returning the identical
+// billboard while evaluating far fewer marginal gains; small universes
+// keep the full scan (heap upkeep would cost more than it saves), and the
+// impression-count measure (k > 1) is not submodular and always uses the
+// scan. See planUsesCELF.
 func bestBillboardFor(p *Plan, i int) (best int, ok bool) {
 	if planUsesCELF(p) {
 		return bestBillboardCELF(p, i)
@@ -35,14 +37,13 @@ func bestBillboardFor(p *Plan, i int) (best int, ok bool) {
 }
 
 // bestBillboardScan is the reference O(|U|·deg) implementation of
-// bestBillboardFor: evaluate every unassigned billboard. Under a non-base
-// model, billboards the model's CanAssign hook rejects are skipped before
-// they count as candidates — the greedy only ever selects feasible moves.
+// bestBillboardFor: evaluate every unassigned billboard. Billboards the
+// model's CanAssign hook rejects are skipped before they count as
+// candidates.
 func bestBillboardScan(p *Plan, i int) (best int, ok bool) {
 	u := p.inst.Universe()
 	curRegret := p.Regret(i)
 	curInfl := p.Influence(i)
-	checkFeasible := !p.inst.base
 	var bestKey1, bestKey2 float64
 	var candidates int64
 	best = -1
@@ -54,7 +55,7 @@ func bestBillboardScan(p *Plan, i int) (best int, ok bool) {
 		if deg == 0 {
 			continue
 		}
-		if checkFeasible && !p.inst.model.CanAssign(p, i, b) {
+		if !p.inst.model.CanAssign(p, i, b) {
 			continue
 		}
 		candidates++

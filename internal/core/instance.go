@@ -33,11 +33,8 @@ type Instance struct {
 	advertisers []Advertiser
 	gamma       float64
 	impressions int // influence threshold k; 1 = union coverage
-	// model owns the objective and feasibility semantics (model.go); base
-	// caches whether it is the canonical BaseModel so the hot-path regret
-	// evaluations stay inlined closed forms instead of interface dispatch.
+	// model owns the objective and feasibility semantics (model.go).
 	model Model
-	base  bool
 }
 
 // NewInstance validates and constructs an MROAM instance. Advertiser IDs
@@ -72,7 +69,7 @@ func NewInstanceWithImpressions(u *coverage.Universe, advertisers []Advertiser, 
 		}
 	}
 	return &Instance{universe: u, advertisers: advertisers, gamma: gamma, impressions: k,
-		model: BaseModel{}, base: true}, nil
+		model: BaseModel{}}, nil
 }
 
 // WithModel returns a copy of the instance carrying the given regret model
@@ -90,7 +87,6 @@ func (in *Instance) WithModel(m Model) (*Instance, error) {
 	}
 	c := *in
 	c.model = m
-	_, c.base = m.(BaseModel)
 	return &c, nil
 }
 
@@ -132,37 +128,14 @@ func (in *Instance) Impressions() int { return in.impressions }
 // The first branch is the revenue regret of an unsatisfied advertiser, the
 // second the excessive-influence (opportunity-cost) regret of an
 // over-satisfied one. Regret is 0 exactly when I(S_i) = I_i (or L_i = 0).
-// The base branch is inlined (no interface dispatch) so the solvers' hot
-// loops keep their pre-Model cost.
 func (in *Instance) Regret(i int, achieved int) float64 {
-	if in.base {
-		return in.baseRegret(i, achieved)
-	}
 	return in.model.Regret(in, i, achieved)
-}
-
-// baseRegret is Equation 1's closed form, shared by the base fast path and
-// any model that keeps the paper's objective.
-func (in *Instance) baseRegret(i int, achieved int) float64 {
-	a := in.advertisers[i]
-	d := float64(a.Demand)
-	if int64(achieved) < a.Demand {
-		return a.Payment * (1 - in.gamma*float64(achieved)/d)
-	}
-	return a.Payment * (float64(achieved) - d) / d
 }
 
 // Satisfied reports whether the given achieved influence meets advertiser
 // i's demand under the instance's model.
 func (in *Instance) Satisfied(i int, achieved int) bool {
-	if in.base {
-		return in.baseSatisfied(i, achieved)
-	}
 	return in.model.Satisfied(in, i, achieved)
-}
-
-func (in *Instance) baseSatisfied(i int, achieved int) bool {
-	return int64(achieved) >= in.advertisers[i].Demand
 }
 
 // Dual evaluates the model's rewired objective R′. For BaseModel this is
@@ -175,19 +148,7 @@ func (in *Instance) baseSatisfied(i int, achieved int) bool {
 // R(S_i) + R′(S_i) = L_i whenever γ = 1; in general R′(S_i) = L_i iff
 // R(S_i) = 0 (for L_i > 0).
 func (in *Instance) Dual(i int, achieved int) float64 {
-	if in.base {
-		return in.baseDual(i, achieved)
-	}
 	return in.model.Dual(in, i, achieved)
-}
-
-func (in *Instance) baseDual(i int, achieved int) float64 {
-	a := in.advertisers[i]
-	d := float64(a.Demand)
-	if int64(achieved) < a.Demand {
-		return a.Payment * float64(achieved) / d
-	}
-	return a.Payment - a.Payment*(float64(achieved)-d)/d
 }
 
 // TotalPayment returns Σ L_i, the revenue of a perfect deployment. Useful

@@ -136,20 +136,14 @@ func RandomizedLocalSearch(inst *Instance, opts LocalSearchOptions) *Plan {
 
 // seedRandomPlan assigns one random distinct billboard to every advertiser
 // (Lines 3.3-3.7). If there are fewer billboards than advertisers, the
-// excess advertisers start empty. The base path is byte-for-byte the
-// pre-Model loop (the shuffled pool consumed in order); under a constrained
-// model each advertiser takes the first remaining billboard its CanAssign
-// hook accepts — still deterministic in the seed.
+// excess advertisers start empty. Each advertiser takes the first remaining
+// billboard of the shuffled pool its CanAssign hook accepts — deterministic
+// in the seed, and under the unconstrained base model simply the pool
+// consumed in order.
 func seedRandomPlan(p *Plan, r *rng.RNG) {
 	pool := p.UnassignedBillboards(nil)
 	r.ShuffleInts(pool)
 	n := p.inst.NumAdvertisers()
-	if p.inst.base {
-		for i := 0; i < n && i < len(pool); i++ {
-			p.Assign(pool[i], i)
-		}
-		return
-	}
 	m := p.inst.model
 	next := 0
 	for i := 0; i < n && next < len(pool); i++ {
@@ -207,7 +201,6 @@ func advertiserLocalSearch(done <-chan struct{}, p *Plan, maxPasses int, frozen 
 	}
 	inst := p.inst
 	n := inst.NumAdvertisers()
-	checkFeasible := !inst.base
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for i := 0; i < n; i++ {
@@ -226,7 +219,7 @@ func advertiserLocalSearch(done <-chan struct{}, p *Plan, maxPasses int, frozen 
 				p.AddEvals(1)
 				swapped := inst.Regret(i, ij) + inst.Regret(j, ii)
 				if swapped < cur-minImprove &&
-					(!checkFeasible || inst.model.CanExchangeSets(p, i, j)) {
+					inst.model.CanExchangeSets(p, i, j) {
 					p.ExchangeSets(i, j)
 					exchanges++
 					improved = true
@@ -374,7 +367,6 @@ type blsScratch struct {
 // done and unwinds).
 func tryExchangeMove(p *Plan, i, j int, opts LocalSearchOptions, s *blsScratch, done <-chan struct{}) bool {
 	inst := p.inst
-	checkFeasible := !inst.base
 	s.si = p.Set(i, s.si[:0])
 	s.sj = p.Set(j, s.sj[:0])
 	for _, bm := range s.si {
@@ -387,7 +379,7 @@ func tryExchangeMove(p *Plan, i, j int, opts LocalSearchOptions, s *blsScratch, 
 			dj := p.SwapDeltaOf(j, bn, bm)
 			next := inst.Regret(i, p.Influence(i)+di) + inst.Regret(j, p.Influence(j)+dj)
 			if next < cur-opts.threshold(p.TotalRegret()) {
-				if checkFeasible && (!inst.model.CanSwap(p, i, bm, bn) || !inst.model.CanSwap(p, j, bn, bm)) {
+				if !inst.model.CanSwap(p, i, bm, bn) || !inst.model.CanSwap(p, j, bn, bm) {
 					continue
 				}
 				p.ExchangeBillboards(bm, bn)
@@ -402,7 +394,6 @@ func tryExchangeMove(p *Plan, i, j int, opts LocalSearchOptions, s *blsScratch, 
 // applies it. Reports whether a move was accepted.
 func tryReplaceMove(p *Plan, i int, opts LocalSearchOptions, s *blsScratch, done <-chan struct{}) bool {
 	inst := p.inst
-	checkFeasible := !inst.base
 	s.si = p.Set(i, s.si[:0])
 	s.free = p.UnassignedBillboards(s.free[:0])
 	for _, bm := range s.si {
@@ -414,7 +405,7 @@ func tryReplaceMove(p *Plan, i int, opts LocalSearchOptions, s *blsScratch, done
 			di := p.SwapDeltaOf(i, bm, bn)
 			next := inst.Regret(i, p.Influence(i)+di)
 			if next < cur-opts.threshold(p.TotalRegret()) {
-				if checkFeasible && !inst.model.CanSwap(p, i, bm, bn) {
+				if !inst.model.CanSwap(p, i, bm, bn) {
 					continue
 				}
 				p.Replace(bm, bn)

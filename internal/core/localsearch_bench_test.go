@@ -38,23 +38,40 @@ func BenchmarkBillboardLocalSearch(b *testing.B) {
 // the marginal-evaluation count per run. The instance is sized so marginal
 // evaluations dominate (high-degree billboards): that is the regime the
 // cache targets — on tiny instances heap upkeep can cost more than the
-// cheap evaluations it skips.
+// cheap evaluations it skips. The zonal market splits the billboards
+// round-robin into 8 zones capped at the maximum degree, so every
+// advertiser's demand exceeds what the caps let it hold and the cache has
+// to drop infeasible heap tops.
 func BenchmarkSynchronousGreedySelection(b *testing.B) {
 	inst := randomInstance(rng.New(9), 20000, 600, 400, 40, 1.2, 0.5)
-	for _, mode := range []struct {
-		name string
-		celf celfModeKind
-	}{{"celf", celfForceOn}, {"scan", celfForceOff}} {
-		b.Run(mode.name, func(b *testing.B) {
-			defer func(prev celfModeKind) { celfMode = prev }(celfMode)
-			celfMode = mode.celf
-			var evals int64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				evals = GGlobal(inst).Evals()
-			}
-			b.ReportMetric(float64(evals), "evals")
-		})
+	zoneOf := make([]int, inst.Universe().NumBillboards())
+	for bb := range zoneOf {
+		zoneOf[bb] = bb % 8
+	}
+	zm, err := NewZonalModel(zoneOf, int64(inst.Universe().MaxDegree()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	zinst, err := inst.WithModel(zm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, market := range []*Instance{inst, zinst} {
+		for _, mode := range []struct {
+			name string
+			celf celfModeKind
+		}{{"celf", celfForceOn}, {"scan", celfForceOff}} {
+			b.Run(market.Model().Kind()+"/"+mode.name, func(b *testing.B) {
+				defer func(prev celfModeKind) { celfMode = prev }(celfMode)
+				celfMode = mode.celf
+				var evals int64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					evals = GGlobal(market).Evals()
+				}
+				b.ReportMetric(float64(evals), "evals")
+			})
+		}
 	}
 }
 

@@ -12,13 +12,15 @@ import (
 // (zonal-capped, tag-specific, time-sliced, ...) without forking. The
 // contract every variant must supply is documented in DESIGN.md §15.
 //
-// BaseModel reproduces the paper's MROAM closed forms bit-identically: the
-// Instance methods Regret/Satisfied/Dual keep inlined fast paths for it
-// (instance.go), so attaching the default model costs the hot loops nothing.
-// ZonalModel is the first shipped variant: the same objective under per-zone
-// caps on an advertiser's counted influence, after "Minimizing Regret in
-// Billboard Advertisement under Zonal Influence Constraint" (arXiv
-// 2402.01294).
+// BaseModel reproduces the paper's MROAM closed forms bit-identically.
+// Instance.Regret/Satisfied/Dual, the solvers' feasibility hooks and the
+// CELF gain cache reach every model, the base one included, through this
+// interface alone (DESIGN.md §15 has the measurements that show the
+// dispatch is free). ZonalModel is the first shipped variant: the same
+// objective under per-zone caps on an advertiser's counted influence, after
+// "Minimizing Regret in Billboard Advertisement under Zonal Influence
+// Constraint" (arXiv 2402.01294); it embeds BaseModel for the objective and
+// overrides only the feasibility hooks and ψ.
 
 // Assignment is the read-only view of a deployment plan a Model consults for
 // feasibility decisions. *Plan satisfies it; the interface keeps models from
@@ -103,17 +105,27 @@ func (BaseModel) Kind() string { return ModelBase }
 
 // Regret evaluates Equation 1 (see Instance.Regret).
 func (BaseModel) Regret(in *Instance, i, achieved int) float64 {
-	return in.baseRegret(i, achieved)
+	a := in.advertisers[i]
+	d := float64(a.Demand)
+	if int64(achieved) < a.Demand {
+		return a.Payment * (1 - in.gamma*float64(achieved)/d)
+	}
+	return a.Payment * (float64(achieved) - d) / d
 }
 
 // Satisfied reports I(S_i) ≥ I_i.
 func (BaseModel) Satisfied(in *Instance, i, achieved int) bool {
-	return in.baseSatisfied(i, achieved)
+	return int64(achieved) >= in.advertisers[i].Demand
 }
 
 // Dual evaluates Equation 2 (see Instance.Dual).
 func (BaseModel) Dual(in *Instance, i, achieved int) float64 {
-	return in.baseDual(i, achieved)
+	a := in.advertisers[i]
+	d := float64(a.Demand)
+	if int64(achieved) < a.Demand {
+		return a.Payment * float64(achieved) / d
+	}
+	return a.Payment - a.Payment*(float64(achieved)-d)/d
 }
 
 // MarginalUpperBound derives C from Equation 1's two branches. Writing
@@ -194,7 +206,13 @@ const (
 // zone. Zones partition the billboards (derived from the geo grid by
 // catalog.Build); the cap is uniform across zones and advertisers, which
 // makes whole-set exchanges (the ALS move) trivially feasibility-preserving.
+//
+// The objective is the base one: Regret, Satisfied, Dual, MarginalUpperBound
+// (still admissible over any feasible candidate subset) and CanExchangeSets
+// (the uniform cap makes every whole-set trade feasible) are promoted from
+// the embedded BaseModel.
 type ZonalModel struct {
+	BaseModel
 	zoneOf []int // billboard ID -> zone index
 	zones  int   // number of distinct zones
 	cap    int64 // per-zone influence-supply cap
@@ -230,28 +248,6 @@ func (m *ZonalModel) Cap() int64 { return m.cap }
 
 // ZoneOf returns billboard b's zone index.
 func (m *ZonalModel) ZoneOf(b int) int { return m.zoneOf[b] }
-
-// Regret evaluates the base Equation 1: the zonal variant constrains
-// feasibility, not the objective.
-func (*ZonalModel) Regret(in *Instance, i, achieved int) float64 {
-	return in.baseRegret(i, achieved)
-}
-
-// Satisfied reports I(S_i) ≥ I_i.
-func (*ZonalModel) Satisfied(in *Instance, i, achieved int) bool {
-	return in.baseSatisfied(i, achieved)
-}
-
-// Dual evaluates the base Equation 2.
-func (*ZonalModel) Dual(in *Instance, i, achieved int) float64 {
-	return in.baseDual(i, achieved)
-}
-
-// MarginalUpperBound is the base bound: the objective is unchanged, so the
-// same C remains admissible over any feasible candidate subset.
-func (*ZonalModel) MarginalUpperBound(in *Instance, i, achieved int, curRegret float64) float64 {
-	return BaseModel{}.MarginalUpperBound(in, i, achieved, curRegret)
-}
 
 // zoneLoad returns advertiser i's influence supply currently counted in
 // zone, in O(|S_i|) with no retained state (the model serves concurrent
@@ -294,10 +290,6 @@ func (m *ZonalModel) CanSwap(p Assignment, i, out, repl int) bool {
 	return load <= m.cap
 }
 
-// CanExchangeSets always allows: the cap is uniform across advertisers, so
-// two individually feasible sets remain feasible after trading owners.
-func (*ZonalModel) CanExchangeSets(Assignment, int, int) bool { return true }
-
 // Validate checks every advertiser's per-zone load against the cap.
 func (m *ZonalModel) Validate(p Assignment) error {
 	u := p.Instance().Universe()
@@ -334,7 +326,8 @@ func (m *ZonalModel) Psi(in *Instance, i int) float64 {
 	return float64(maxDeg) / float64(in.advertisers[i].Demand)
 }
 
-// ApproximationFactor is Theorem 2's shape under the zonal ψ.
+// ApproximationFactor is Theorem 2's shape under the zonal ψ (the promoted
+// BaseModel method would use the base ψ).
 func (m *ZonalModel) ApproximationFactor(in *Instance, i int, r float64) float64 {
 	return approximationFactor(m.Psi(in, i), in, r)
 }

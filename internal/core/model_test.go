@@ -52,8 +52,8 @@ func TestWithModelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bi.Model().Kind() != ModelBase || !bi.base {
-		t.Errorf("WithModel(nil) kind %q base %v", bi.Model().Kind(), bi.base)
+	if bi.Model().Kind() != ModelBase {
+		t.Errorf("WithModel(nil) kind %q, want %q", bi.Model().Kind(), ModelBase)
 	}
 	if inst.Model().Kind() != ModelBase {
 		t.Errorf("fresh instance model kind %q, want %q", inst.Model().Kind(), ModelBase)
@@ -195,6 +195,57 @@ func TestModelMarginalUpperBound(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestModelFeasibilityDownwardClosed: the Model contract says feasible sets
+// are downward closed, so once CanAssign rejects billboard b for advertiser
+// i, b stays rejected however S_i grows. The CELF gain cache leans on this
+// to drop infeasible heap tops for good; checked for every shipped model on
+// random plans, growing S_i by arbitrary (even infeasible) assignments.
+func TestModelFeasibilityDownwardClosed(t *testing.T) {
+	for _, kind := range []string{ModelBase, ModelZonal} {
+		t.Run(kind, func(t *testing.T) {
+			r := rng.New(77)
+			checked := 0
+			for trial := 0; trial < 200; trial++ {
+				var inst *Instance
+				if kind == ModelZonal {
+					inst = zonalInstance(t, r, 1+r.Intn(4), int64(2+r.Intn(25)))
+				} else {
+					inst = drawInstance(r)
+				}
+				m := inst.Model()
+				p := randomPlan(r, inst)
+				i := r.Intn(inst.NumAdvertisers())
+				var rejected []int
+				for b := 0; b < inst.Universe().NumBillboards(); b++ {
+					if p.Owner(b) == Unassigned && !m.CanAssign(p, i, b) {
+						rejected = append(rejected, b)
+					}
+				}
+				for _, add := range r.Perm(inst.Universe().NumBillboards()) {
+					if p.Owner(add) != Unassigned {
+						continue
+					}
+					p.Assign(add, i)
+					for _, b := range rejected {
+						if p.Owner(b) != Unassigned {
+							continue
+						}
+						checked++
+						if m.CanAssign(p, i, b) {
+							t.Fatalf("trial %d adv %d: billboard %d rejected, then accepted after assigning %d",
+								trial, i, b, add)
+						}
+					}
+				}
+			}
+			if kind == ModelZonal && checked == 0 {
+				t.Fatal("no CanAssign rejection was ever re-checked; the caps never bound")
+			}
+			t.Logf("%d re-checks of rejected billboards", checked)
 		})
 	}
 }

@@ -37,7 +37,6 @@ func ApproximationFactor(inst *Instance, i int, r float64) float64 {
 // billboard and direction when not.
 func IsApproxLocalMaximum(p *Plan, i int, r float64) (ok bool, violator int, direction string) {
 	inst := p.Instance()
-	checkFeasible := !inst.base
 	base := inst.Dual(i, p.Influence(i))
 	threshold := (1 + r) * base
 	for _, b := range p.Set(i, nil) {
@@ -49,7 +48,7 @@ func IsApproxLocalMaximum(p *Plan, i int, r float64) (ok bool, violator int, dir
 	for _, b := range p.UnassignedBillboards(nil) {
 		// Under a constrained model the neighborhood is the feasible moves
 		// only: an addition the model forbids cannot witness non-maximality.
-		if checkFeasible && !inst.model.CanAssign(p, i, b) {
+		if !inst.model.CanAssign(p, i, b) {
 			continue
 		}
 		gain := p.GainOf(i, b)
@@ -86,14 +85,13 @@ func DualLocalSearch(p *Plan, i int, r float64, maxMoves int) (moves int, conver
 		maxMoves = DefaultDualMaxMoves
 	}
 	inst := p.Instance()
-	checkFeasible := !inst.base
 	for moves < maxMoves {
 		base := inst.Dual(i, p.Influence(i))
 		threshold := (1 + r) * base
 		improved := false
 
 		for _, b := range p.UnassignedBillboards(nil) {
-			if checkFeasible && !inst.model.CanAssign(p, i, b) {
+			if !inst.model.CanAssign(p, i, b) {
 				continue
 			}
 			gain := p.GainOf(i, b)
@@ -117,7 +115,7 @@ func DualLocalSearch(p *Plan, i int, r float64, maxMoves int) (moves int, conver
 		swap:
 			for _, out := range p.Set(i, nil) {
 				for _, in := range p.UnassignedBillboards(nil) {
-					if checkFeasible && !inst.model.CanSwap(p, i, out, in) {
+					if !inst.model.CanSwap(p, i, out, in) {
 						continue
 					}
 					delta := p.SwapDeltaOf(i, out, in)

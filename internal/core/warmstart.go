@@ -65,12 +65,11 @@ func applyWarmStart(p *Plan, ws *WarmStart) []bool {
 	inst := p.inst
 	n := inst.NumAdvertisers()
 	nB := inst.Universe().NumBillboards()
-	checkFeasible := !inst.base
 	touched := make([]bool, n)
 	for i := 0; i < n && i < len(ws.Sets); i++ {
 		for _, b := range ws.Sets[i] {
 			if b < 0 || b >= nB || p.Owner(b) != Unassigned ||
-				(checkFeasible && !inst.model.CanAssign(p, i, b)) {
+				!inst.model.CanAssign(p, i, b) {
 				touched[i] = true
 				continue
 			}

@@ -305,6 +305,12 @@ func TestDensify(t *testing.T) {
 	if len(same) != 1 {
 		t.Fatalf("densify of coincident points = %d points, want 1", len(same))
 	}
+	// The output is allocated at its exact length (no append slack): a
+	// Manhattan-style polyline with a repeated waypoint and uneven legs.
+	legs := densify([]geo.Point{{X: 0, Y: 0}, {X: 0, Y: 0}, {X: 250, Y: 0}, {X: 250, Y: 730}, {X: 40, Y: 730}}, 33)
+	if cap(legs) != len(legs) {
+		t.Fatalf("densify returned len %d, cap %d; want an exact-size allocation", len(legs), cap(legs))
+	}
 }
 
 func TestSGRoutesStayInCity(t *testing.T) {

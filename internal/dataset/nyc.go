@@ -232,9 +232,21 @@ func genNYCTrip(g *nycGrid, r *rng.RNG) trajectory.Trajectory {
 }
 
 // densify resamples a waypoint polyline at roughly the given spacing,
-// always keeping the waypoints themselves.
+// always keeping the waypoints themselves. The output is allocated once at
+// its exact length: trips hold most of a generated dataset's memory, and
+// append's doubling would leave up to half of every trip's points as slack
+// and garbage.
 func densify(waypoints []geo.Point, spacing float64) []geo.Point {
-	out := []geo.Point{waypoints[0]}
+	n := 1
+	for i := 1; i < len(waypoints); i++ {
+		d := waypoints[i-1].Dist(waypoints[i])
+		n += int(d / spacing)
+		if d > 0 {
+			n++
+		}
+	}
+	out := make([]geo.Point, 1, n)
+	out[0] = waypoints[0]
 	for i := 1; i < len(waypoints); i++ {
 		from, to := waypoints[i-1], waypoints[i]
 		d := from.Dist(to)

@@ -41,8 +41,8 @@ func doPatch(tb testing.TB, ts *httptest.Server, name string, ops []catalog.Patc
 }
 
 // warmTestInstance is testInstance optionally wrapped in a zonal model, so
-// the churn tests cover both the base fast path and the constrained
-// CanAssign path of the incumbent replay.
+// the churn tests cover both the unconstrained base model and a constrained
+// CanAssign in the incumbent replay.
 func warmTestInstance(tb testing.TB, zonal bool) *core.Instance {
 	tb.Helper()
 	inst := testInstance(tb, 60, 10, 4)
