@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt lint bench bench-json bench-serving scale-smoke repro examples clean check fuzz-smoke trace-demo catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke
+.PHONY: all build test test-race vet fmt lint bench bench-kernels bench-json bench-serving scale-smoke repro examples clean check fuzz-smoke trace-demo catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke
 
 all: build test
 
@@ -31,6 +31,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSwapDeltaMerge$$' -fuzztime 10s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressedContainers$$' -fuzztime 10s ./internal/bitset
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpecs$$' -fuzztime 10s ./internal/catalog
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzParseServerTiming$$' -fuzztime 10s ./internal/obs
 
 vet:
 	$(GO) vet ./...
@@ -267,6 +269,15 @@ churn-smoke:
 # suite measures only benchmark iterations.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
+
+# bench-kernels reproduces the solver-kernel numbers recorded in CHANGES.md
+# and DESIGN.md §5: the coverage Counter's Gain (a table read), Add+Remove
+# (which keeps that table current) and SwapDelta, and G-Global's selection
+# engine (CELF gain cache vs full scan, base and zonal markets).
+bench-kernels:
+	$(GO) test -run '^$$' -bench '^(BenchmarkCounterGain|BenchmarkCounterAddRemove|BenchmarkSwapDelta)$$' \
+		-benchmem ./internal/coverage
+	$(GO) test -run '^$$' -bench '^BenchmarkSynchronousGreedySelection$$' -benchmem ./internal/core
 
 # bench-json regenerates BENCH_coverage.json — the recorded evidence for
 # the compressed coverage substrate (build/compress/solve times, memory,

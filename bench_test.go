@@ -348,7 +348,7 @@ func BenchmarkAblation_RandomSeedPlan(b *testing.B) {
 }
 
 // BenchmarkAblation_IncrementalCoverage compares the incremental counter
-// (O(deg) marginal gains) against from-scratch union recomputation, the
+// (O(1) marginal gains) against from-scratch union recomputation, the
 // core data-structure choice of this implementation.
 func BenchmarkAblation_IncrementalCoverage(b *testing.B) {
 	r := warm(b, []dataset.City{dataset.NYC}, defaultLambdaOnly)

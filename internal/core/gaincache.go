@@ -7,6 +7,14 @@ package core
 // the greedy re-evaluate only a handful of heap tops per selection instead
 // of rescanning every unassigned billboard.
 //
+// A skipped evaluation no longer skips a coverage walk: coverage.Counter
+// keeps a per-billboard gain table, so Gain is an O(1) read whether the
+// heap or the scan asks. What the heap saves is the rest of a candidate's
+// cost — the model's CanAssign call and the regret arithmetic of the
+// selection keys — against its own upkeep (pop, re-push, bound checks).
+// evals still counts gain queries, the paper's work measure, not time;
+// DESIGN.md §5 records what each engine costs now.
+//
 // The greedy's primary selection key is not the gain itself but
 // key1 = (R(S_i) − R(S_i ∪ {b})) / I({b}), which is *not* submodular (a
 // billboard that crosses the demand threshold can see its key1 jump up as
@@ -233,10 +241,13 @@ var celfMode = celfAuto
 
 // celfMinBillboards is the auto-mode activation threshold. The cache
 // always evaluates fewer marginal gains than the scan, but each evaluation
-// carries heap upkeep (pop, re-push, bound checks); the measured crossover
-// where the savings win on this implementation sits at roughly 400
-// high-degree billboards (see BenchmarkSynchronousGreedySelection).
-// Smaller universes keep the full scan's tight loop.
+// carries heap upkeep (pop, re-push, bound checks). It was set at the
+// crossover measured when an evaluation walked a coverage list: roughly
+// 400 high-degree billboards (see BenchmarkSynchronousGreedySelection).
+// With O(1) gains the scan wins on the base market at that size while the
+// cache still wins on a zonal one, whose scan pays a CanAssign call per
+// candidate (DESIGN.md §5). The threshold stays: the solve goldens pin
+// evals, which the engine choice changes.
 const celfMinBillboards = 400
 
 // planUsesCELF reports whether bestBillboardFor should route through the

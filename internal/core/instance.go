@@ -68,6 +68,9 @@ func NewInstanceWithImpressions(u *coverage.Universe, advertisers []Advertiser, 
 			return nil, fmt.Errorf("core: advertiser %d payment %v < 0", i, advertisers[i].Payment)
 		}
 	}
+	// Every plan's counters share the universe's inverted index; build it
+	// now rather than inside the first (possibly deadline-bound) solve.
+	u.BuildIndex()
 	return &Instance{universe: u, advertisers: advertisers, gamma: gamma, impressions: k,
 		model: BaseModel{}}, nil
 }

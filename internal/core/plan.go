@@ -15,8 +15,9 @@ const Unassigned = -1
 // constraint S_i ∩ S_j = ∅ (each billboard has at most one owner).
 //
 // The plan maintains, per advertiser, an incremental coverage counter so
-// that influence and regret are always available in O(1) and every
-// mutation costs O(deg) in the size of the affected coverage lists. It also
+// that influence, regret and marginal gains are always available in O(1)
+// and every mutation costs O(deg) in the size of the affected coverage
+// lists, plus the counter's gain-table upkeep (see coverage.Counter). It also
 // counts marginal-influence evaluations (evals) as the work measure
 // reported by the efficiency study.
 type Plan struct {
@@ -180,11 +181,26 @@ func (p *Plan) Release(b int) {
 }
 
 // ReleaseAll returns every billboard of advertiser i to the unassigned pool
-// and returns how many were released.
+// and returns how many were released. It empties S_i with one counter
+// Reset instead of one Remove per billboard, and otherwise does exactly
+// what a Release of each member in ascending order does, one evaluation
+// per billboard included.
 func (p *Plan) ReleaseAll(i int) int {
 	members := p.counters[i].Members(nil)
+	if len(members) == 0 {
+		return 0
+	}
+	p.counters[i].Reset()
+	p.refreshRegret(i)
+	p.invalidateGainCache(i)
+	u := p.inst.Universe()
 	for _, b := range members {
-		p.Release(b)
+		p.owner[b] = Unassigned
+		if u.Degree(b) > 0 {
+			p.eligible++
+		}
+		p.evals++
+		p.gainCacheOnRelease(b)
 	}
 	return len(members)
 }

@@ -11,15 +11,21 @@
 //
 // because I(o,t) ∈ {0,1}. All four MROAM algorithms spend nearly all their
 // time asking "what does adding/removing/swapping one billboard do to I(S_i)?"
-// The Counter type answers those queries in O(deg(o)) by maintaining, for one
-// advertiser's set, a per-trajectory multiset count of how many assigned
-// billboards cover it.
+// The Counter type answers those queries incrementally by maintaining, for
+// one advertiser's set, a per-trajectory multiset count of how many assigned
+// billboards cover it, plus a per-billboard table of marginal gains. The
+// greedy's most frequent query, Gain, is then an O(1) table read; Add and
+// Remove pay for it by updating the table through an inverted
+// (coverage ID → billboards) index whenever an ID's count crosses the
+// threshold. Loss and SwapDelta walk the coverage lists in O(deg(o)).
 package coverage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/bitset"
 )
@@ -68,6 +74,60 @@ type Universe struct {
 	degrees         []int   // weighted Degree per billboard; nil = len(lists[b])
 	maxDegree       int
 	totalSupply     int64
+
+	// The inverted index is built on the first NewCounter or BuildIndex,
+	// so universes that are only ever queried from scratch (UnionCount
+	// and friends) never pay for it.
+	indexOnce sync.Once
+	index     invertedIndex
+}
+
+// invertedIndex is the CSR inverse of a universe's coverage lists: the
+// billboards covering coverage ID t are boards[start[t]:start[t+1]], in
+// ascending order. Counters walk it to update their gain tables.
+type invertedIndex struct {
+	start  []int32
+	boards []int32
+}
+
+// BuildIndex builds the inverted index that every Counter over u shares,
+// unless it is built already. NewCounter builds it on first use; calling
+// BuildIndex ahead of time keeps that one-off cost (tens of milliseconds
+// for a few million coverage entries) out of the first counter's caller —
+// core.NewInstance does, so a deadline-bound solve never pays it.
+func (u *Universe) BuildIndex() { u.inverted() }
+
+// inverted returns the universe's inverted index, building it on first use.
+// It is safe for concurrent use; the index is immutable once built.
+func (u *Universe) inverted() *invertedIndex {
+	u.indexOnce.Do(func() {
+		entries := 0
+		for _, l := range u.lists {
+			entries += len(l)
+		}
+		if entries > math.MaxInt32 {
+			panic(fmt.Sprintf("coverage: %d coverage entries overflow the inverted index", entries))
+		}
+		start := make([]int32, u.numIDs+1)
+		for _, l := range u.lists {
+			for _, t := range l {
+				start[t+1]++
+			}
+		}
+		for t := 0; t < u.numIDs; t++ {
+			start[t+1] += start[t]
+		}
+		next := slices.Clone(start[:u.numIDs])
+		boards := make([]int32, entries)
+		for b, l := range u.lists {
+			for _, t := range l {
+				boards[next[t]] = int32(b)
+				next[t]++
+			}
+		}
+		u.index = invertedIndex{start: start, boards: boards}
+	})
+	return &u.index
 }
 
 // NewUniverse constructs a Universe over numTrajectories trajectories with
@@ -260,9 +320,15 @@ func (u *Universe) WeightSum(bs *bitset.Set) int {
 	return total
 }
 
-// Counter incrementally tracks I(S) for one mutable billboard set S. Adding
-// or removing a billboard costs O(deg(b)); marginal-gain/loss queries cost
-// the same without mutating the set.
+// Counter incrementally tracks I(S) for one mutable billboard set S.
+//
+// Besides the per-ID impression counts it keeps a gain table:
+// gains[b] = Σ weight(t) over t ∈ cover(b) with counts[t] = k−1, which is
+// I_k(S ∪ {b}) − I_k(S) for every non-member b. Gain is therefore O(1).
+// Adding or removing b costs O(deg(b) + Σ|billboards(t)|), the sum taken
+// over the IDs t of cover(b) whose count crosses k−1 or k: each such ID
+// moves in or out of the gain of every billboard covering it. Loss and
+// SwapDelta cost O(deg) without mutating the set.
 //
 // A Counter can also evaluate the impression-count influence measure of
 // Zhang et al., KDD 2019 ("Optimizing Impression Counts for Outdoor
@@ -278,6 +344,9 @@ type Counter struct {
 	covered int     // Σ_{id : counts[id] >= k} weight(id); this is I_k(S)
 	member  []bool  // member[b] = b ∈ S
 	size    int     // |S|
+	gains   []int   // gains[b] = Σ weight(t), t ∈ cover(b), counts[t] == k−1
+	// idx is the universe's inverted index, cached off its sync.Once.
+	idx *invertedIndex
 }
 
 // NewCounter returns an empty Counter over the universe using the paper's
@@ -297,13 +366,17 @@ func NewCounterWithThreshold(u *Universe, k int) *Counter {
 	if k < 1 {
 		panic(fmt.Sprintf("coverage: impression threshold %d < 1", k))
 	}
-	return &Counter{
+	c := &Counter{
 		u:      u,
 		k:      int32(k),
 		counts: make([]int32, u.numIDs),
 		w:      u.weights,
 		member: make([]bool, len(u.lists)),
+		gains:  make([]int, len(u.lists)),
+		idx:    u.inverted(),
 	}
+	c.Reset() // fills in the empty set's gain table
+	return c
 }
 
 // Threshold returns the impression threshold k.
@@ -331,30 +404,21 @@ func (c *Counter) Members(dst []int) []int {
 }
 
 // Add inserts billboard b into the set. It panics if b is already a member.
-//
-// The unweighted loop is kept separate from the weighted one (here and in
-// Remove/Gain/Loss/SwapDelta): these are the innermost solver loops, and a
-// per-element weight lookup on the unit-weight substrate would cost a load
-// and branch per covered ID for nothing.
 func (c *Counter) Add(b int) {
 	if c.member[b] {
 		panic(fmt.Sprintf("coverage: Add(%d): already a member", b))
 	}
 	c.member[b] = true
 	c.size++
-	if c.w == nil {
-		for _, t := range c.u.lists[b] {
-			c.counts[t]++
-			if c.counts[t] == c.k {
-				c.covered++
-			}
-		}
-		return
-	}
 	for _, t := range c.u.lists[b] {
 		c.counts[t]++
-		if c.counts[t] == c.k {
-			c.covered += int(c.w[t])
+		switch c.counts[t] {
+		case c.k: // left k−1: newly covered, no longer anyone's gain
+			w := c.weight(t)
+			c.covered += w
+			c.shiftGains(t, -w)
+		case c.k - 1: // reached k−1: one impression short for everyone
+			c.shiftGains(t, c.weight(t))
 		}
 	}
 }
@@ -366,49 +430,45 @@ func (c *Counter) Remove(b int) {
 	}
 	c.member[b] = false
 	c.size--
-	if c.w == nil {
-		for _, t := range c.u.lists[b] {
-			if c.counts[t] == c.k {
-				c.covered--
-			}
-			c.counts[t]--
-		}
-		return
-	}
 	for _, t := range c.u.lists[b] {
-		if c.counts[t] == c.k {
-			c.covered -= int(c.w[t])
-		}
 		c.counts[t]--
+		switch c.counts[t] {
+		case c.k - 1: // fell from k: uncovered, a gain again
+			w := c.weight(t)
+			c.covered -= w
+			c.shiftGains(t, w)
+		case c.k - 2: // left k−1
+			c.shiftGains(t, -c.weight(t))
+		}
+	}
+}
+
+// shiftGains adds d to the gain of every billboard covering ID t.
+func (c *Counter) shiftGains(t int32, d int) {
+	for _, o := range c.idx.boards[c.idx.start[t]:c.idx.start[t+1]] {
+		c.gains[o] += d
 	}
 }
 
 // Gain returns I(S ∪ {b}) − I(S): how many new trajectories b would cover.
-// b must not be a member (the gain of a member is trivially 0, and asking
-// for it almost always indicates an algorithmic bug, so it panics).
+// It is a table read. b must not be a member (the gain of a member is
+// trivially 0, and asking for it almost always indicates an algorithmic
+// bug, so it panics).
 func (c *Counter) Gain(b int) int {
 	if c.member[b] {
 		panic(fmt.Sprintf("coverage: Gain(%d): already a member", b))
 	}
-	gain := 0
-	if c.w == nil {
-		for _, t := range c.u.lists[b] {
-			if c.counts[t] == c.k-1 {
-				gain++
-			}
-		}
-		return gain
-	}
-	for _, t := range c.u.lists[b] {
-		if c.counts[t] == c.k-1 {
-			gain += int(c.w[t])
-		}
-	}
-	return gain
+	return c.gains[b]
 }
 
 // Loss returns I(S) − I(S \ {b}): how many trajectories only b covers.
 // It panics if b is not a member.
+//
+// The unweighted loop is kept separate from the weighted one: this is an
+// inner local-search loop, and a per-element weight lookup on the
+// unit-weight substrate would cost a load and branch per covered ID for
+// nothing. Add and Remove look weights up only on a threshold crossing,
+// whose inverted-index walk dwarfs the lookup.
 func (c *Counter) Loss(b int) int {
 	if !c.member[b] {
 		panic(fmt.Sprintf("coverage: Loss(%d): not a member", b))
@@ -477,13 +537,25 @@ func (c *Counter) weight(t int32) int {
 	return int(c.w[t])
 }
 
-// Reset empties the set in O(Σ deg(member)).
+// Reset empties the set in one pass over the billboards, clearing the
+// counts each member covered and restoring the empty set's gain table, in
+// O(Σ deg(member) + #billboards).
 func (c *Counter) Reset() {
 	for b, in := range c.member {
 		if in {
-			c.Remove(b)
+			for _, t := range c.u.lists[b] {
+				c.counts[t] = 0
+			}
+			c.member[b] = false
+		}
+		if c.k == 1 {
+			c.gains[b] = c.u.Degree(b)
+		} else {
+			c.gains[b] = 0
 		}
 	}
+	c.covered = 0
+	c.size = 0
 }
 
 // CopyFrom overwrites this counter's state with src's, reusing the existing
@@ -499,24 +571,24 @@ func (c *Counter) CopyFrom(src *Counter) {
 	}
 	copy(c.counts, src.counts)
 	copy(c.member, src.member)
+	copy(c.gains, src.gains)
 	c.covered = src.covered
 	c.size = src.size
 }
 
 // Clone returns an independent copy of the counter state.
 func (c *Counter) Clone() *Counter {
-	n := &Counter{
+	return &Counter{
 		u:       c.u,
 		k:       c.k,
-		counts:  make([]int32, len(c.counts)),
+		counts:  slices.Clone(c.counts),
 		w:       c.w,
 		covered: c.covered,
-		member:  make([]bool, len(c.member)),
+		member:  slices.Clone(c.member),
 		size:    c.size,
+		gains:   slices.Clone(c.gains),
+		idx:     c.idx,
 	}
-	copy(n.counts, c.counts)
-	copy(n.member, c.member)
-	return n
 }
 
 // Universe returns the universe this counter operates over.

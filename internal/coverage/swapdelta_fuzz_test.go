@@ -47,7 +47,8 @@ func decodeSwapCase(data []byte) (c *Counter, out, in int, ok bool) {
 // against two independent oracles on fuzz-built universes and thresholds:
 // a binary-search formulation (List.Contains, skipping shared
 // trajectories) and the ground truth of mutating a cloned counter. The
-// query must also leave the counter untouched.
+// query must also leave the counter untouched. The same case checks the
+// gain table: Gain(in) must equal the coverage a clone gains by adding in.
 func FuzzSwapDeltaMerge(f *testing.F) {
 	for _, seed := range swapDeltaSeeds() {
 		f.Add(seed)
@@ -92,6 +93,14 @@ func FuzzSwapDeltaMerge(f *testing.F) {
 		if truth := cl.Covered() - before; got != truth {
 			t.Fatalf("SwapDelta(%d, %d) = %d, mutation ground truth %d (k=%d, data=%v)",
 				out, in, got, truth, c.k, data)
+		}
+
+		// The gain table must agree with actually adding in to a clone.
+		gl := c.Clone()
+		gl.Add(in)
+		if got, truth := c.Gain(in), gl.Covered()-before; got != truth {
+			t.Fatalf("Gain(%d) = %d, mutation ground truth %d (k=%d, data=%v)",
+				in, got, truth, c.k, data)
 		}
 
 		// The query is advertised as non-mutating.

@@ -325,8 +325,10 @@ func FormatServerTiming(queue, solve, total time.Duration) string {
 
 // ParseServerTiming parses a Server-Timing header value into metric-name →
 // duration (milliseconds). Entries without a dur parameter are reported
-// with value 0; a malformed dur drops its entry. Parsing is deliberately
-// lenient — the header grammar allows parameters we never emit.
+// with value 0; a malformed dur — anything but a finite, non-negative
+// decimal — drops its entry, so every returned value is finite and ≥ 0.
+// Parsing is otherwise deliberately lenient — the header grammar allows
+// parameters we never emit.
 func ParseServerTiming(h string) map[string]float64 {
 	out := make(map[string]float64)
 	for _, entry := range strings.Split(h, ",") {
@@ -344,8 +346,8 @@ func ParseServerTiming(h string) map[string]float64 {
 		for _, p := range parts[1:] {
 			p = strings.TrimSpace(p)
 			if rest, found := strings.CutPrefix(p, "dur="); found {
-				v, err := strconv.ParseFloat(strings.Trim(rest, `"`), 64)
-				if err != nil {
+				v, ok := parseDur(strings.Trim(rest, `"`))
+				if !ok {
 					bad = true
 					break
 				}
@@ -357,6 +359,18 @@ func ParseServerTiming(h string) map[string]float64 {
 		}
 	}
 	return out
+}
+
+// parseDur parses a Server-Timing dur value: a finite, non-negative
+// decimal such as 12.5 or 1e3. strconv.ParseFloat alone would also accept
+// signs, NaN, Inf and hex floats (0x1p3); an out-of-range exponent fails
+// ParseFloat itself.
+func parseDur(s string) (float64, bool) {
+	if s == "" || (s[0] < '0' || s[0] > '9') && s[0] != '.' || strings.Trim(s, "0123456789.eE+-") != "" {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil
 }
 
 // SortSpans orders spans by start time, then by name for equal starts —

@@ -198,3 +198,45 @@ func TestServerTimingRoundTrip(t *testing.T) {
 		t.Errorf("malformed dur kept: %v", m)
 	}
 }
+
+// TestParseServerTimingDropsNonDecimalDur: a dur that strconv.ParseFloat
+// accepts but that is not a finite, non-negative decimal drops its entry
+// instead of reaching the recorded per-request server times.
+func TestParseServerTimingDropsNonDecimalDur(t *testing.T) {
+	for _, tc := range []struct {
+		dur  string
+		want float64 // -1 = entry dropped
+	}{
+		{"12.5", 12.5},
+		{"0", 0},
+		{".5", 0.5},
+		{"7.", 7},
+		{"1e3", 1000},
+		{"2.5E-1", 0.25},
+		{`"3.25"`, 3.25},
+		{"NaN", -1},
+		{"nan", -1},
+		{"Inf", -1},
+		{"+Inf", -1},
+		{"-Inf", -1},
+		{"infinity", -1},
+		{"-1", -1},
+		{"-0", -1},
+		{"+1", -1},
+		{"0x1p3", -1},
+		{"0X10", -1},
+		{"1_000", -1},
+		{"1e400", -1},
+		{"", -1},
+		{"e5", -1},
+	} {
+		m := ParseServerTiming("x;dur=" + tc.dur)
+		got, present := m["x"]
+		switch {
+		case tc.want < 0 && present:
+			t.Errorf("dur=%s: kept as %v, want the entry dropped", tc.dur, got)
+		case tc.want >= 0 && (!present || got != tc.want):
+			t.Errorf("dur=%s: got %v (present %v), want %v", tc.dur, got, present, tc.want)
+		}
+	}
+}
