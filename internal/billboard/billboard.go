@@ -8,6 +8,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/geo"
@@ -197,23 +198,23 @@ func ReadCSV(r io.Reader) (*DB, error) {
 		if err != nil || id != len(bs) {
 			return nil, fmt.Errorf("billboard: line %d: bad or non-dense id %q", line, rec[0])
 		}
-		x, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("billboard: line %d: bad x %q", line, rec[1])
+		x, ok := parseFinite(rec[1])
+		if !ok {
+			return nil, fmt.Errorf("billboard: line %d: bad x %q (want a finite number)", line, rec[1])
 		}
-		y, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("billboard: line %d: bad y %q", line, rec[2])
+		y, ok := parseFinite(rec[2])
+		if !ok {
+			return nil, fmt.Errorf("billboard: line %d: bad y %q (want a finite number)", line, rec[2])
 		}
 		kind, err := strconv.Atoi(rec[3])
 		if err != nil || kind > int(DigitalSlot) || kind < 0 {
 			return nil, fmt.Errorf("billboard: line %d: bad kind %q", line, rec[3])
 		}
-		panel, err := strconv.Atoi(rec[4])
+		panel, err := strconv.ParseInt(rec[4], 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("billboard: line %d: bad panel_id %q", line, rec[4])
 		}
-		slot, err := strconv.Atoi(rec[5])
+		slot, err := strconv.ParseInt(rec[5], 10, 16)
 		if err != nil {
 			return nil, fmt.Errorf("billboard: line %d: bad slot %q", line, rec[5])
 		}
@@ -230,4 +231,11 @@ func ReadCSV(r io.Reader) (*DB, error) {
 		})
 	}
 	return NewDB(bs), nil
+}
+
+// parseFinite parses a coordinate column, rejecting NaN and ±Inf, which
+// would otherwise load silently and never fall within λ of any trajectory.
+func parseFinite(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }

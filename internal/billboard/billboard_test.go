@@ -171,3 +171,31 @@ func TestReadCSVErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestReadCSVRejectsNonFiniteAndOverflow: NaN and ±Inf coordinates parse
+// with strconv.ParseFloat and would load as billboards no trajectory can
+// reach; panel_id and slot values beyond int32/int16 would be truncated.
+// Each bad value sits on the second data row, so the error must name line 3.
+func TestReadCSVRejectsNonFiniteAndOverflow(t *testing.T) {
+	const head = "id,x,y,kind,panel_id,slot,cost\n0,1,2,0,-1,0,5\n"
+	cases := map[string]string{
+		"x NaN":           head + "1,NaN,2,0,-1,0,5\n",
+		"x +Inf":          head + "1,+Inf,2,0,-1,0,5\n",
+		"y -Inf":          head + "1,1,-Inf,0,-1,0,5\n",
+		"y infinity":      head + "1,1,infinity,0,-1,0,5\n",
+		"panel > int32":   head + "1,1,2,1,2147483648,0,5\n",
+		"panel < int32":   head + "1,1,2,1,-2147483649,0,5\n",
+		"slot > int16":    head + "1,1,2,1,0,32768,5\n",
+		"slot wraps to 0": head + "1,1,2,1,0,65536,5\n",
+	}
+	for name, in := range cases {
+		_, err := ReadCSV(strings.NewReader(in))
+		if err == nil {
+			t.Errorf("%s: ReadCSV accepted invalid input", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%s: error %q does not name line 3", name, err)
+		}
+	}
+}

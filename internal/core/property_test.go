@@ -48,10 +48,10 @@ func TestPropertyRegretInvariants(t *testing.T) {
 		}
 		for i := 0; i < inst.NumAdvertisers(); i++ {
 			// The incremental counter must agree with the from-scratch
-			// bitset evaluator.
+			// evaluator.
 			achieved := inst.Universe().UnionCount(p.Set(i, nil))
 			if achieved != p.Influence(i) {
-				t.Fatalf("trial %d adv %d: counter influence %d, bitset %d",
+				t.Fatalf("trial %d adv %d: counter influence %d, from scratch %d",
 					trial, i, p.Influence(i), achieved)
 			}
 			// R(S_i) ≥ 0 on both branches of Equation 1, and at most the

@@ -39,7 +39,7 @@ type CompressionStats struct {
 	// the compressed ID space.
 	Corridors int `json:"corridors"`
 	// Ratio is RawTrajectories / Corridors — how much smaller every
-	// per-ID array and bitset becomes (1 when nothing compressed).
+	// per-ID array becomes (1 when nothing compressed).
 	Ratio float64 `json:"compression_ratio"`
 }
 

@@ -26,8 +26,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-
-	"repro/internal/bitset"
 )
 
 // List is the set of coverage IDs covered by one billboard, sorted
@@ -76,8 +74,8 @@ type Universe struct {
 	totalSupply     int64
 
 	// The inverted index is built on the first NewCounter or BuildIndex,
-	// so universes that are only ever queried from scratch (UnionCount
-	// and friends) never pay for it.
+	// so universes that are only ever queried from scratch (UnionCount,
+	// UnionCountK) never pay for it.
 	indexOnce sync.Once
 	index     invertedIndex
 }
@@ -224,8 +222,8 @@ func MustUniverse(numTrajectories int, lists []List) *Universe {
 func (u *Universe) NumTrajectories() int { return u.numTrajectories }
 
 // NumIDs returns the size of the coverage ID space: the value to size
-// per-ID scratch arrays and bitsets by. It equals NumTrajectories for an
-// uncompressed universe and the corridor count for a compressed one.
+// per-ID scratch arrays by. It equals NumTrajectories for an uncompressed
+// universe and the corridor count for a compressed one.
 func (u *Universe) NumIDs() int { return u.numIDs }
 
 // Weighted reports whether the universe is corridor-compressed.
@@ -267,57 +265,12 @@ func (u *Universe) MaxDegree() int { return u.maxDegree }
 func (u *Universe) TotalSupply() int64 { return u.totalSupply }
 
 // UnionCount returns I(S) = |⋃_{b∈S} cover(b)| in raw trajectories,
-// computed from scratch. Counters are faster for incremental work; this is
-// the reference evaluator and the right tool for one-shot queries. The
-// union is taken in the compressed substrate (roaring-style containers), so
-// the scratch cost scales with the IDs actually covered, not the ID space.
+// computed from scratch with one count array over the ID space
+// (UnionCountK at k = 1). Counters are faster for incremental work; this is
+// the reference evaluator they are tested against and the right tool for
+// one-shot queries.
 func (u *Universe) UnionCount(billboards []int) int {
-	un := u.UnionCompressed(billboards)
-	if u.weights == nil {
-		return un.Count()
-	}
-	total := 0
-	un.Range(func(id int) bool {
-		total += int(u.weights[id])
-		return true
-	})
-	return total
-}
-
-// UnionCompressed returns the union coverage of the given billboards as a
-// compressed set over the universe's ID space.
-func (u *Universe) UnionCompressed(billboards []int) *bitset.Compressed {
-	un := bitset.NewCompressed()
-	for _, b := range billboards {
-		un.Or(bitset.FromSortedIDs(u.lists[b]))
-	}
-	return un
-}
-
-// UnionBitset returns the union coverage of the given billboards as a dense
-// bitset sized to the universe's ID space. Use WeightSum to convert a set of
-// coverage IDs into raw trajectories.
-func (u *Universe) UnionBitset(billboards []int) *bitset.Set {
-	bs := bitset.New(u.numIDs)
-	for _, b := range billboards {
-		bs.SetIDs(u.lists[b])
-	}
-	return bs
-}
-
-// WeightSum returns the raw-trajectory total behind the set bits of bs,
-// which must be sized to the universe's ID space. For an uncompressed
-// universe this is bs.Count().
-func (u *Universe) WeightSum(bs *bitset.Set) int {
-	if u.weights == nil {
-		return bs.Count()
-	}
-	total := 0
-	bs.Range(func(id int) bool {
-		total += int(u.weights[id])
-		return true
-	})
-	return total
+	return u.UnionCountK(billboards, 1)
 }
 
 // Counter incrementally tracks I(S) for one mutable billboard set S.

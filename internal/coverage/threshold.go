@@ -5,7 +5,7 @@ import "fmt"
 // UnionCountK evaluates the impression-count influence I_k(S) from scratch:
 // the number of trajectories covered by at least k of the given billboards
 // (Zhang et al., KDD 2019, the alternative measurement the paper cites in
-// §2.2). With k = 1 it equals UnionCount. It is the reference evaluator for
+// §2.2). UnionCount is its k = 1 case. It is the reference evaluator for
 // Counters built with NewCounterWithThreshold.
 func (u *Universe) UnionCountK(billboards []int, k int) int {
 	if k < 1 {

@@ -347,16 +347,21 @@ func TestNYCPointsFollowGrid(t *testing.T) {
 
 func TestNYCSupplyRatioRegime(t *testing.T) {
 	// The supply-to-trajectory ratio I*/|T| must stay in a regime where
-	// the paper's p=20% workloads are satisfiable (see DESIGN.md):
+	// the paper's p=20% workloads are satisfiable (see DESIGN.md §1):
 	// demand = 0.2·I* must not exceed |T|, i.e. ratio <= 5. The ratio
 	// grows linearly with the billboard count (each board covers a fixed
-	// trip fraction), so it is checked at the evaluation scales: here
-	// 0.1 (|U| = 40, expected ratio around 1.4); the recorded 0.25-scale
-	// run sits around 3.5. DESIGN.md documents the regime caveat.
-	d := testNYC(t)
-	u := buildU(t, d, influence.DefaultLambda)
-	ratio := float64(u.TotalSupply()) / float64(u.NumTrajectories())
-	if ratio < 0.8 || ratio > 5 {
-		t.Fatalf("NYC I*/|T| = %.2f at scale 0.1, want 0.8..5 (p=20%% regime)", ratio)
+	// trip fraction), so it is checked at the evaluation scales: 0.1
+	// (|U| = 40, ratio around 1.2) and the recorded 0.25 tier (ratio
+	// around 3.5). The paper-scale tier is a ROADMAP item.
+	for _, scale := range []float64{0.1, 0.25} {
+		d, err := Generate(DefaultNYC(7).Scale(scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := buildU(t, d, influence.DefaultLambda)
+		ratio := float64(u.TotalSupply()) / float64(u.NumTrajectories())
+		if ratio < 0.8 || ratio > 5 {
+			t.Errorf("NYC I*/|T| = %.2f at scale %v, want 0.8..5 (p=20%% regime)", ratio, scale)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package influence
 import (
 	"sort"
 
-	"repro/internal/bitset"
 	"repro/internal/coverage"
 )
 
@@ -47,14 +46,16 @@ func ImpressionCurve(u *coverage.Universe, fractions []float64) []float64 {
 		return out
 	}
 	// Evaluate incrementally: fractions are processed in ascending order
-	// via an index sort, reusing one accumulating bitset.
+	// via an index sort, marking coverage IDs as their prefix grows and
+	// adding each ID's weight the first time it is marked.
 	idx := make([]int, len(fractions))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return fractions[idx[a]] < fractions[idx[b]] })
 
-	bs := bitset.New(u.NumIDs())
+	seen := make([]bool, u.NumIDs())
+	covered := 0
 	taken := 0
 	total := float64(u.NumTrajectories())
 	for _, fi := range idx {
@@ -63,10 +64,15 @@ func ImpressionCurve(u *coverage.Universe, fractions []float64) []float64 {
 			want = len(order)
 		}
 		for taken < want {
-			bs.SetIDs(u.List(order[taken]))
+			for _, id := range u.List(order[taken]) {
+				if !seen[id] {
+					seen[id] = true
+					covered += u.Weight(id)
+				}
+			}
 			taken++
 		}
-		out[fi] = float64(u.WeightSum(bs)) / total
+		out[fi] = float64(covered) / total
 	}
 	return out
 }

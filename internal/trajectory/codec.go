@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -92,17 +93,17 @@ func ReadCSV(r io.Reader) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trajectory: line %d: bad seq %q", line, rec[1])
 		}
-		x, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: line %d: bad x %q", line, rec[2])
+		x, ok := parseFinite(rec[2])
+		if !ok {
+			return nil, fmt.Errorf("trajectory: line %d: bad x %q (want a finite number)", line, rec[2])
 		}
-		y, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: line %d: bad y %q", line, rec[3])
+		y, ok := parseFinite(rec[3])
+		if !ok {
+			return nil, fmt.Errorf("trajectory: line %d: bad y %q (want a finite number)", line, rec[3])
 		}
-		off, err := strconv.ParseFloat(rec[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: line %d: bad offset %q", line, rec[4])
+		off, ok := parseFinite(rec[4])
+		if !ok {
+			return nil, fmt.Errorf("trajectory: line %d: bad offset %q (want a finite number)", line, rec[4])
 		}
 
 		switch {
@@ -121,4 +122,12 @@ func ReadCSV(r io.Reader) (*DB, error) {
 		t.Offsets = append(t.Offsets, off)
 	}
 	return NewDB(ts)
+}
+
+// parseFinite parses a float column, rejecting NaN and ±Inf: every
+// coordinate and offset feeds grid bucketing and distance tests, which a
+// non-finite value would corrupt.
+func parseFinite(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }

@@ -186,6 +186,33 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVRejectsNonFinite: strconv.ParseFloat accepts NaN and ±Inf,
+// which would otherwise reach geo.NewGrid and the λ-distance tests. Each bad
+// value sits on the second data row, so the error must name line 3.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	const head = "traj_id,seq,x,y,offset_seconds\n0,0,1,2,0\n"
+	cases := map[string]string{
+		"x +Inf":     head + "0,1,+Inf,2,5\n",
+		"x NaN":      head + "0,1,NaN,2,5\n",
+		"y -Inf":     head + "0,1,1,-Inf,5\n",
+		"y nan":      head + "0,1,1,nan,5\n",
+		"offset Inf": head + "0,1,1,2,Inf\n",
+		"offset NaN": head + "0,1,1,2,NaN\n",
+		"new traj x": head + "1,0,infinity,2,0\n",
+		"overflow y": head + "0,1,1,1e400,5\n",
+	}
+	for name, in := range cases {
+		_, err := ReadCSV(strings.NewReader(in))
+		if err == nil {
+			t.Errorf("%s: ReadCSV accepted a non-finite value", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%s: error %q does not name line 3", name, err)
+		}
+	}
+}
+
 func TestWriteCSVNilOffsets(t *testing.T) {
 	db, err := NewDB([]Trajectory{{Points: []geo.Point{{X: 1, Y: 2}}}})
 	if err != nil {
