@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt lint bench bench-kernels bench-json bench-serving scale-smoke repro examples clean check fuzz-smoke trace-demo catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke
+.PHONY: all build test test-race vet fmt lint bench bench-kernels bench-build bench-json bench-serving scale-smoke repro examples clean check fuzz-smoke trace-demo catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke
 
 all: build test
 
@@ -32,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpecs$$' -fuzztime 10s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseServerTiming$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzGridWithin$$' -fuzztime 10s ./internal/geo
 
 vet:
 	$(GO) vet ./...
@@ -278,6 +279,14 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench '^(BenchmarkCounterGain|BenchmarkCounterAddRemove|BenchmarkSwapDelta|BenchmarkUnionCount)$$' \
 		-benchmem ./internal/coverage
 	$(GO) test -run '^$$' -bench '^BenchmarkSynchronousGreedySelection$$' -benchmem ./internal/core
+
+# bench-build reproduces the build-layer numbers recorded in CHANGES.md and
+# DESIGN.md §12: filling the cell-ordered grid, one λ-radius query against
+# it, and the fused streaming build (generation, chunked join, corridor
+# assignment) on 50k NYC trips.
+bench-build:
+	$(GO) test -run '^$$' -bench '^(BenchmarkGridBuild|BenchmarkGridWithin)$$' -benchmem ./internal/geo
+	$(GO) test -run '^$$' -bench '^BenchmarkGenerateUniverse$$' -benchmem ./internal/dataset
 
 # bench-json regenerates BENCH_coverage.json — the recorded evidence for
 # the compressed coverage substrate (build/compress/solve times, memory,

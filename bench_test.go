@@ -520,36 +520,6 @@ func BenchmarkAblation_ImpressionThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_SpatialIndex compares the two spatial indexes for the
-// influence-model join: the tuned uniform grid vs the parameter-free
-// STR-packed R-tree.
-func BenchmarkAblation_SpatialIndex(b *testing.B) {
-	r := benchRunner()
-	d, err := r.Dataset(dataset.NYC)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, idx := range []struct {
-		name string
-		kind influence.IndexKind
-	}{
-		{"grid", influence.GridIndex},
-		{"rtree", influence.RTreeIndex},
-	} {
-		b.Run(idx.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := influence.BuildCoverage(d.Trajectories, d.Billboards, influence.Options{
-					Lambda: market.DefaultLambda,
-					Index:  idx.kind,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_MarketComposition tests the paper's Q2 conclusion
 // ("having a large number of medium-demand advertisers is an ideal
 // balance"): the same global demand α composed as many small advertisers,

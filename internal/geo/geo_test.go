@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/rng"
 )
 
 func TestDist(t *testing.T) {
@@ -111,124 +109,5 @@ func TestPathLength(t *testing.T) {
 	got := PathLength([]Point{{0, 0}, {3, 4}, {3, 10}})
 	if math.Abs(got-11) > 1e-12 {
 		t.Errorf("PathLength = %v, want 11", got)
-	}
-}
-
-// bruteWithin is the O(n) reference for grid queries.
-func bruteWithin(points []Point, q Point, r float64) map[int32]bool {
-	out := map[int32]bool{}
-	for i, p := range points {
-		if p.Dist(q) <= r {
-			out[int32(i)] = true
-		}
-	}
-	return out
-}
-
-func TestGridMatchesBruteForce(t *testing.T) {
-	r := rng.New(77)
-	points := make([]Point, 2000)
-	for i := range points {
-		points[i] = Point{r.Range(0, 5000), r.Range(0, 3000)}
-	}
-	for _, cell := range []float64{25, 100, 400, 1000} {
-		g := NewGrid(points, cell)
-		for trial := 0; trial < 50; trial++ {
-			q := Point{r.Range(-200, 5200), r.Range(-200, 3200)}
-			radius := r.Range(0, 600)
-			want := bruteWithin(points, q, radius)
-			got := g.Within(q, radius, nil)
-			if len(got) != len(want) {
-				t.Fatalf("cell=%v: Within returned %d ids, want %d", cell, len(got), len(want))
-			}
-			for _, id := range got {
-				if !want[id] {
-					t.Fatalf("cell=%v: Within returned wrong id %d", cell, id)
-				}
-			}
-			if g.AnyWithin(q, radius) != (len(want) > 0) {
-				t.Fatalf("cell=%v: AnyWithin disagrees with Within", cell)
-			}
-		}
-	}
-}
-
-func TestGridEmptyAndDegenerate(t *testing.T) {
-	g := NewGrid(nil, 100)
-	if got := g.Within(Point{0, 0}, 50, nil); len(got) != 0 {
-		t.Errorf("empty grid returned %d ids", len(got))
-	}
-	if g.AnyWithin(Point{0, 0}, 50) {
-		t.Error("empty grid AnyWithin = true")
-	}
-	// All points identical: a single cell.
-	pts := []Point{{1, 1}, {1, 1}, {1, 1}}
-	g = NewGrid(pts, 10)
-	if got := g.Within(Point{1, 1}, 0, nil); len(got) != 3 {
-		t.Errorf("coincident points: got %d, want 3", len(got))
-	}
-	if got := g.Within(Point{5, 5}, 1, nil); len(got) != 0 {
-		t.Errorf("far query: got %d, want 0", len(got))
-	}
-}
-
-func TestGridNegativeRadius(t *testing.T) {
-	g := NewGrid([]Point{{0, 0}}, 10)
-	if got := g.Within(Point{0, 0}, -1, nil); len(got) != 0 {
-		t.Errorf("negative radius returned %d ids", len(got))
-	}
-}
-
-func TestGridBoundaryInclusive(t *testing.T) {
-	g := NewGrid([]Point{{0, 0}, {100, 0}}, 50)
-	got := g.Within(Point{50, 0}, 50, nil)
-	if len(got) != 2 {
-		t.Errorf("boundary radius: got %d hits, want 2 (inclusive)", len(got))
-	}
-}
-
-func TestGridPanicsOnBadCellSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewGrid(cellSize=0) did not panic")
-		}
-	}()
-	NewGrid([]Point{{0, 0}}, 0)
-}
-
-func TestGridDstReuse(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 0}, {2, 0}}
-	g := NewGrid(pts, 1)
-	buf := make([]int32, 0, 8)
-	got := g.Within(Point{0, 0}, 1.5, buf)
-	if len(got) != 2 {
-		t.Fatalf("got %d ids, want 2", len(got))
-	}
-}
-
-func BenchmarkGridBuild(b *testing.B) {
-	r := rng.New(1)
-	points := make([]Point, 100000)
-	for i := range points {
-		points[i] = Point{r.Range(0, 20000), r.Range(0, 20000)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = NewGrid(points, 100)
-	}
-}
-
-func BenchmarkGridWithin(b *testing.B) {
-	r := rng.New(1)
-	points := make([]Point, 100000)
-	for i := range points {
-		points[i] = Point{r.Range(0, 20000), r.Range(0, 20000)}
-	}
-	g := NewGrid(points, 100)
-	buf := make([]int32, 0, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := Point{r.Range(0, 20000), r.Range(0, 20000)}
-		buf = g.Within(q, 100, buf[:0])
 	}
 }

@@ -5,9 +5,10 @@
 //
 // BuildCoverage performs the spatial join between a trajectory database and
 // a billboard database for a given λ, producing the coverage.Universe that
-// every algorithm and experiment consumes. The join uses a uniform grid over
-// all trajectory points, so each billboard query touches only nearby cells;
-// billboards are processed in parallel.
+// every algorithm and experiment consumes. The join cuts the trajectories
+// into chunks and puts each chunk's points in a uniform grid, so each
+// billboard query touches only nearby cells; chunks are joined in
+// parallel.
 //
 // Digital billboards (time-sliced panels, §3.2 Discussion) are supported:
 // when a billboard is a DigitalSlot and Options.SlotsPerDay > 0, it only
@@ -18,23 +19,14 @@ package influence
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/billboard"
 	"repro/internal/coverage"
 	"repro/internal/geo"
 	"repro/internal/trajectory"
-)
-
-// IndexKind selects the spatial index used for the radius joins.
-type IndexKind uint8
-
-const (
-	// GridIndex is the uniform grid (default): fastest when the cell
-	// size matches λ.
-	GridIndex IndexKind = iota
-	// RTreeIndex is the STR-packed R-tree: no tuning parameter, the
-	// classical database choice.
-	RTreeIndex
 )
 
 // Options configures the coverage build.
@@ -55,8 +47,6 @@ type Options struct {
 	// Parallelism bounds the number of concurrent workers; 0 selects
 	// GOMAXPROCS.
 	Parallelism int
-	// Index selects the spatial index (default GridIndex).
-	Index IndexKind
 }
 
 // DefaultLambda is the paper's default influence radius in meters.
@@ -88,44 +78,122 @@ func BuildCoverage(tdb *trajectory.DB, bdb *billboard.DB, opts Options) (*covera
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	points, owner := tdb.AllPoints()
-	var index PointIndex
-	switch opts.Index {
-	case GridIndex:
-		index = geo.NewGrid(points, cell)
-	case RTreeIndex:
-		index = geo.NewRTree(points)
-	default:
-		return nil, fmt.Errorf("influence: unknown index kind %d", opts.Index)
+	// The join runs a chunk of trajectories at a time, each chunk on one
+	// worker with a grid of its own: a chunk's grid fits in cache, so
+	// filling it costs a fraction of filling one grid over every point, and
+	// the fills run in parallel. Chunk k spans trajectories
+	// [starts[k], starts[k+1]) and ends with the one that brings it to
+	// chunkPoints points.
+	starts := []int{0}
+	for id, n := 0, 0; id < tdb.Len(); id++ {
+		n += len(tdb.At(id).Points)
+		if n >= chunkPoints || id == tdb.Len()-1 {
+			starts, n = append(starts, id+1), 0
+		}
 	}
-
-	// A digital slot only counts encounters during its share of the day,
-	// which needs each point's second-of-day.
-	var keep func(b int, point int32) bool
-	if opts.SlotsPerDay > 0 {
-		pointTime := make([]float64, 0, len(points))
-		for id := 0; id < tdb.Len(); id++ {
-			t := tdb.At(id)
-			base := float64(t.Start.Unix() % secondsPerDay)
-			for i := range t.Points {
-				off := 0.0
-				if t.Offsets != nil {
-					off = t.Offsets[i]
+	chunks := make([]chunkLists, len(starts)-1)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(chunks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var grid geo.Grid
+			var pointTime []float64 // each grid position's second-of-day
+			var keep func(b int, pos int32) bool
+			if opts.SlotsPerDay > 0 {
+				// A digital slot only counts encounters during its share
+				// of the day.
+				keep = func(b int, pos int32) bool {
+					bb := bdb.At(b)
+					return bb.Kind != billboard.DigitalSlot ||
+						slotOf(pointTime[pos], opts.SlotsPerDay) == int(bb.Slot)%opts.SlotsPerDay
 				}
-				sec := base + off
-				sec -= float64(int(sec/secondsPerDay)) * secondsPerDay
-				pointTime = append(pointTime, sec)
+			}
+			joiner := NewJoiner(bdb, opts.Lambda, 1)
+			for k := int(next.Add(1) - 1); k < len(chunks); k = int(next.Add(1) - 1) {
+				pointTime = fillChunk(&grid, tdb, starts[k], starts[k+1], cell, pointTime, keep != nil)
+				chunks[k].pack(joiner.Join(&grid, starts[k+1]-starts[k], keep))
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Concatenate each billboard's chunk lists in chunk order, shifting
+	// chunk-local owners to trajectory IDs; every list comes out sorted.
+	total := 0
+	for k := range chunks {
+		total += len(chunks[k].ids)
+	}
+	flat := make([]int32, 0, total)
+	lists := make([]coverage.List, bdb.Len())
+	for b := range lists {
+		from := len(flat)
+		for k := range chunks {
+			c := &chunks[k]
+			for _, o := range c.ids[c.ends[b]:c.ends[b+1]] {
+				flat = append(flat, int32(starts[k])+o)
 			}
 		}
-		keep = func(b int, point int32) bool {
-			bb := bdb.At(b)
-			return bb.Kind != billboard.DigitalSlot ||
-				slotOf(pointTime[point], opts.SlotsPerDay) == int(bb.Slot)%opts.SlotsPerDay
+		lists[b] = flat[from:len(flat):len(flat)]
+	}
+	return coverage.NewUniverse(tdb.Len(), lists)
+}
+
+// chunkPoints is the number of points BuildCoverage joins at a time, about
+// 1.3 MB of grid.
+const chunkPoints = 1 << 16
+
+// chunkLists holds one chunk's coverage lists back to back: billboard b's
+// list is ids[ends[b]:ends[b+1]].
+type chunkLists struct {
+	ids  []int32
+	ends []int32
+}
+
+// pack copies lists, which the joiner will reuse, into c.
+func (c *chunkLists) pack(lists []coverage.List) {
+	c.ends = make([]int32, 1, len(lists)+1)
+	for _, l := range lists {
+		c.ids = append(c.ids, l...)
+		c.ends = append(c.ends, int32(len(c.ids)))
+	}
+}
+
+// fillChunk fills grid with the points of trajectories [lo, hi) of tdb,
+// each owned by its trajectory's index within the chunk. With timed set it
+// also records each grid position's second-of-day, in pointTime's array
+// when it is big enough, and returns the times.
+func fillChunk(grid *geo.Grid, tdb *trajectory.DB, lo, hi int, cell float64, pointTime []float64, timed bool) []float64 {
+	bounds, n := geo.BoundingRect(tdb.At(lo).Points), 0
+	for id := lo; id < hi; id++ {
+		bounds = bounds.Union(geo.BoundingRect(tdb.At(id).Points))
+		n += len(tdb.At(id).Points)
+	}
+	grid.Reset(bounds, n, cell)
+	for id := lo; id < hi; id++ {
+		for _, p := range tdb.At(id).Points {
+			grid.Count(p)
 		}
 	}
-
-	lists := NewJoiner(bdb, opts.Lambda, workers).Join(index, owner, tdb.Len(), keep)
-	return coverage.NewUniverse(tdb.Len(), lists)
+	if timed {
+		pointTime = slices.Grow(pointTime[:0], n)[:n]
+	}
+	for id := lo; id < hi; id++ {
+		t := tdb.At(id)
+		base := float64(t.Start.Unix() % secondsPerDay)
+		for i, p := range t.Points {
+			pos := grid.Place(p, int32(id-lo))
+			if timed {
+				sec := base
+				if t.Offsets != nil {
+					sec += t.Offsets[i]
+				}
+				pointTime[pos] = sec - float64(int(sec/secondsPerDay))*secondsPerDay
+			}
+		}
+	}
+	return pointTime
 }
 
 // slotOf returns the slot index of a second-of-day under the given division

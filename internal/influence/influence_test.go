@@ -2,6 +2,7 @@ package influence
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -193,6 +194,77 @@ func TestDigitalSlotTimeFiltering(t *testing.T) {
 	}
 }
 
+// TestDigitalSlotFilterMatchesBruteForce checks the digital-slot time
+// filter against brute force on trips whose points spread over many grid
+// cells and whose encounters fall in different slots, so a filter that
+// read a point's time by the wrong index (say, trip order instead of grid
+// position) would misjudge some encounters. The trips hold enough points
+// for several join chunks, and the static billboards check the join
+// itself across chunk boundaries.
+func TestDigitalSlotFilterMatchesBruteForce(t *testing.T) {
+	const lambda = 100
+	r := rng.New(2024)
+	day := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	trajs := make([]trajectory.Trajectory, 30000)
+	for i := range trajs {
+		n := 3 + r.Intn(6)
+		pts := make([]geo.Point, n)
+		offs := make([]float64, n)
+		for j := range pts {
+			pts[j] = geo.Point{X: r.Range(0, 1500), Y: r.Range(0, 1500)}
+			if j > 0 {
+				offs[j] = offs[j-1] + r.Range(1, 4*3600)
+			}
+		}
+		start := day.Add(time.Duration(r.Intn(secondsPerDay)) * time.Second)
+		trajs[i] = trajectory.Trajectory{Points: pts, Start: start, Offsets: offs}
+	}
+	tdb := makeTDB(t, trajs)
+	if points := tdb.ComputeStats().TotalPoints; points < 2*chunkPoints {
+		t.Fatalf("%d points span a single join chunk", points)
+	}
+	bills := make([]billboard.Billboard, 30)
+	for i := range bills {
+		bills[i] = billboard.Billboard{Loc: geo.Point{X: r.Range(0, 1500), Y: r.Range(0, 1500)}}
+	}
+	static := billboard.NewDB(bills)
+	for _, slots := range []int{2, 4} {
+		bdb, err := static.ExpandDigital([]int{0, 3, 4, 7, 11, 12, 18, 25, 29}, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := BuildCoverage(tdb, bdb, Options{Lambda: lambda, SlotsPerDay: slots, Parallelism: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		filtered := 0
+		for b := 0; b < bdb.Len(); b++ {
+			bb := bdb.At(b)
+			var want coverage.List
+			for id := 0; id < tdb.Len(); id++ {
+				tr := tdb.At(id)
+				for j, p := range tr.Points {
+					if p.Dist2(bb.Loc) > lambda*lambda {
+						continue
+					}
+					sec := math.Mod(float64(tr.Start.Unix()%secondsPerDay)+tr.Offsets[j], secondsPerDay)
+					if bb.Kind != billboard.DigitalSlot || int(sec*float64(slots)/secondsPerDay) == int(bb.Slot) {
+						want = append(want, int32(id))
+						break
+					}
+					filtered++
+				}
+			}
+			if got := u.List(b); !slices.Equal(got, want) {
+				t.Fatalf("slots=%d billboard %d (%v): covers %v, want %v", slots, b, bb.Kind, got, want)
+			}
+		}
+		if filtered == 0 {
+			t.Fatalf("slots=%d: no encounter fell outside its slot; the filter went untested", slots)
+		}
+	}
+}
+
 func TestSlotOf(t *testing.T) {
 	if slotOf(0, 2) != 0 || slotOf(43199, 2) != 0 || slotOf(43200, 2) != 1 || slotOf(86399, 2) != 1 {
 		t.Error("slotOf boundaries wrong")
@@ -289,50 +361,5 @@ func TestOverlapRatio(t *testing.T) {
 	empty := coverage.MustUniverse(5, []coverage.List{{}, {}})
 	if got := OverlapRatio(empty, 2); got != 0 {
 		t.Errorf("zero-coverage overlap = %v, want 0", got)
-	}
-}
-
-func TestRTreeIndexMatchesGrid(t *testing.T) {
-	r := rng.New(404)
-	trajs := make([]trajectory.Trajectory, 80)
-	for i := range trajs {
-		pts := make([]geo.Point, 4)
-		for j := range pts {
-			pts[j] = geo.Point{X: r.Range(0, 2000), Y: r.Range(0, 2000)}
-		}
-		trajs[i] = trajectory.Trajectory{Points: pts}
-	}
-	tdb := makeTDB(t, trajs)
-	bills := make([]billboard.Billboard, 25)
-	for i := range bills {
-		bills[i] = billboard.Billboard{Loc: geo.Point{X: r.Range(0, 2000), Y: r.Range(0, 2000)}}
-	}
-	bdb := billboard.NewDB(bills)
-	grid, err := BuildCoverage(tdb, bdb, Options{Lambda: 150, Index: GridIndex})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtree, err := BuildCoverage(tdb, bdb, Options{Lambda: 150, Index: RTreeIndex})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < bdb.Len(); b++ {
-		lg, lr := grid.List(b), rtree.List(b)
-		if len(lg) != len(lr) {
-			t.Fatalf("billboard %d: grid %d vs rtree %d trajectories", b, len(lg), len(lr))
-		}
-		for i := range lg {
-			if lg[i] != lr[i] {
-				t.Fatalf("billboard %d: coverage differs at %d", b, i)
-			}
-		}
-	}
-}
-
-func TestUnknownIndexRejected(t *testing.T) {
-	tdb := makeTDB(t, []trajectory.Trajectory{{Points: []geo.Point{{}}}})
-	bdb := billboard.NewDB([]billboard.Billboard{{}})
-	if _, err := BuildCoverage(tdb, bdb, Options{Lambda: 100, Index: IndexKind(9)}); err == nil {
-		t.Fatal("unknown index kind accepted")
 	}
 }

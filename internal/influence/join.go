@@ -10,19 +10,14 @@ import (
 	"repro/internal/geo"
 )
 
-// PointIndex answers radius queries over an indexed point set; *geo.Grid
-// and *geo.RTree implement it.
-type PointIndex interface {
-	// Within appends to dst the indices of the points within r of q.
-	Within(q geo.Point, r float64, dst []int32) []int32
-}
-
 // A Joiner runs the coverage join: for every billboard, the distinct owners
-// of the indexed points within λ of it, in ascending order. Billboards are
+// of the grid's points within λ of it, in ascending order. Billboards are
 // spread over a fixed set of workers. Each worker marks the owners behind
 // its hits in a bitmap over the owner space and reads the marked bits back
 // out in order, so the lists come out sorted and duplicate-free without a
-// sort. A Joiner reuses its buffers from one Join to the next.
+// sort. The grid keeps owners beside their points in cell order, so the
+// owner reads follow the hits through memory. A Joiner reuses its buffers
+// from one Join to the next.
 type Joiner struct {
 	bills   *billboard.DB
 	lambda  float64
@@ -32,7 +27,7 @@ type Joiner struct {
 
 // joinWorker is one worker's scratch, kept between joins.
 type joinWorker struct {
-	hits []int32  // Within results for the current billboard
+	hits []int32  // grid positions within λ of the current billboard
 	seen []uint64 // owner bitmap; all zero between billboards
 	out  []int32  // this worker's lists back to back
 	done []span   // where each billboard this worker joined sits in out
@@ -52,11 +47,11 @@ func NewJoiner(bdb *billboard.DB, lambda float64, workers int) *Joiner {
 	}
 }
 
-// Join returns each billboard's coverage list over index. owner maps every
-// indexed point to its owner in [0, numOwners). keep, when non-nil, filters
-// hits: point p counts toward billboard b only if keep(b, p). The lists
+// Join returns each billboard's coverage list over grid, whose owners lie
+// in [0, numOwners). keep, when non-nil, filters hits: the point at grid
+// position pos counts toward billboard b only if keep(b, pos). The lists
 // share the joiner's buffers and stay valid until the next Join.
-func (j *Joiner) Join(index PointIndex, owner []int32, numOwners int, keep func(b int, point int32) bool) []coverage.List {
+func (j *Joiner) Join(grid *geo.Grid, numOwners int, keep func(b int, pos int32) bool) []coverage.List {
 	words := (numOwners + 63) / 64
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -65,7 +60,7 @@ func (j *Joiner) Join(index PointIndex, owner []int32, numOwners int, keep func(
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.join(j, index, owner, words, keep, &next)
+			w.join(j, grid, words, keep, &next)
 		}()
 	}
 	wg.Wait()
@@ -79,7 +74,7 @@ func (j *Joiner) Join(index PointIndex, owner []int32, numOwners int, keep func(
 }
 
 // join takes billboards from next until none are left.
-func (w *joinWorker) join(j *Joiner, index PointIndex, owner []int32, words int, keep func(int, int32) bool, next *atomic.Int64) {
+func (w *joinWorker) join(j *Joiner, grid *geo.Grid, words int, keep func(int, int32) bool, next *atomic.Int64) {
 	if cap(w.seen) < words {
 		w.seen = make([]uint64, words)
 	}
@@ -90,13 +85,13 @@ func (w *joinWorker) join(j *Joiner, index PointIndex, owner []int32, words int,
 		if b >= j.bills.Len() {
 			return
 		}
-		w.hits = index.Within(j.bills.At(b).Loc, j.lambda, w.hits[:0])
+		w.hits = grid.Within(j.bills.At(b).Loc, j.lambda, w.hits[:0])
 		lo, hi := words, -1
 		for _, p := range w.hits {
 			if keep != nil && !keep(b, p) {
 				continue
 			}
-			o := owner[p]
+			o := grid.Owner(p)
 			k := int(o >> 6)
 			seen[k] |= 1 << (o & 63)
 			lo, hi = min(lo, k), max(hi, k)
