@@ -30,6 +30,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRoundTrip$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSwapDeltaMerge$$' -fuzztime 10s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpecs$$' -fuzztime 10s ./internal/catalog
+	$(GO) test -run '^$$' -fuzz '^FuzzPatchOps$$' -fuzztime 10s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseServerTiming$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzGridWithin$$' -fuzztime 10s ./internal/geo
@@ -273,8 +274,8 @@ bench:
 # bench-kernels reproduces the solver-kernel numbers recorded in CHANGES.md
 # and DESIGN.md §5: the coverage Counter's Gain (a table read), Add+Remove
 # (which keeps that table current) and SwapDelta, the from-scratch
-# UnionCount reference evaluator, and G-Global's selection engine (CELF gain
-# cache vs full scan, base and zonal markets).
+# UnionCount reference evaluator, and G-Global's billboard selection (the
+# full scan, on a base and a zonal market).
 bench-kernels:
 	$(GO) test -run '^$$' -bench '^(BenchmarkCounterGain|BenchmarkCounterAddRemove|BenchmarkSwapDelta|BenchmarkUnionCount)$$' \
 		-benchmem ./internal/coverage

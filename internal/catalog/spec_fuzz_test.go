@@ -81,7 +81,18 @@ func FuzzReadSpecs(f *testing.F) {
 // UPDATE_FUZZ_CORPUS=1 it rewrites testdata/fuzz/FuzzReadSpecs; otherwise
 // it fails if the checked-in corpus went missing.
 func TestRegenerateFuzzSpecsCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzReadSpecs")
+	regenerateCorpus(t, "FuzzReadSpecs", fuzzSpecSeeds(t))
+}
+
+// TestRegenerateFuzzPatchCorpus does the same for testdata/fuzz/FuzzPatchOps.
+func TestRegenerateFuzzPatchCorpus(t *testing.T) {
+	regenerateCorpus(t, "FuzzPatchOps", fuzzPatchSeeds())
+}
+
+// regenerateCorpus rewrites testdata/fuzz/<target> from seeds when
+// UPDATE_FUZZ_CORPUS is set, and otherwise fails if that corpus is missing.
+func regenerateCorpus(t *testing.T, target string, seeds [][]byte) {
+	dir := filepath.Join("testdata", "fuzz", target)
 	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
 		entries, err := os.ReadDir(dir)
 		if err != nil || len(entries) == 0 {
@@ -92,7 +103,7 @@ func TestRegenerateFuzzSpecsCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, seed := range fuzzSpecSeeds(t) {
+	for i, seed := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
 		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {

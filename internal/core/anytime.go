@@ -48,9 +48,10 @@ type Anytime struct {
 	// of the completed prefix (matching an uncancelled run truncated to
 	// RestartsCompleted); Evals is the truthful work measure for metrics.
 	Evals int64
-	// Cache aggregates the gain-cache effectiveness counters over all
-	// work performed (like Evals, including abandoned restarts);
-	// Plan.CacheStats() carries the deterministic prefix aggregate.
+	// Cache aggregates the greedy-selection counters (CacheStats; Hits is
+	// always 0) over all work performed (like Evals, including abandoned
+	// restarts); Plan.CacheStats() carries the deterministic prefix
+	// aggregate.
 	Cache CacheStats
 	// WarmStarted reports that restart slot 0 was seeded from a validated
 	// incumbent (LocalSearchOptions.WarmStart). False when no incumbent
@@ -122,7 +123,7 @@ func RandomizedLocalSearchCtx(ctx context.Context, inst *Instance, opts LocalSea
 	}
 
 	var extraEvals int64      // work outside the deterministic prefix
-	var extraCache CacheStats // ditto, for the selection-engine counters
+	var extraCache CacheStats // ditto, for the selection counters
 	for _, p := range results[prefix:] {
 		if p != nil {
 			extraEvals += p.Evals()

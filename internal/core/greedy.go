@@ -18,29 +18,14 @@ import (
 // ΔR is 0 for every non-satisfying billboard) are broken by the marginal
 // coverage ratio gain(o)/I({o}) and then by the smaller ID, so selection is
 // deterministic. Billboards with I({o}) = 0 can never change any influence
-// and are skipped. Returns ok=false if no eligible billboard exists.
+// and are skipped, and so are billboards the model's CanAssign hook
+// rejects, so the greedy only ever selects feasible moves. Returns ok=false
+// if no eligible billboard exists.
 //
-// Only billboards the model's CanAssign hook accepts are candidates, so
-// the greedy only ever selects feasible moves. Under the union-coverage
-// measure on large universes the selection runs on the lazy-greedy gain
-// cache (gaincache.go) for every regret model, returning the identical
-// billboard while evaluating far fewer marginal gains; small universes
-// keep the full scan (heap upkeep would cost more than it saves), and the
-// impression-count measure (k > 1) is not submodular and always uses the
-// scan. See planUsesCELF.
+// Every call scans all unassigned billboards: Gain is a table read
+// (coverage.Counter) and CanAssign reads the plan's group loads, so a
+// candidate costs O(1) (DESIGN.md §5 has the measurement).
 func bestBillboardFor(p *Plan, i int) (best int, ok bool) {
-	if planUsesCELF(p) {
-		return bestBillboardCELF(p, i)
-	}
-	p.stats.Rescans++
-	return bestBillboardScan(p, i)
-}
-
-// bestBillboardScan is the reference O(|U|·deg) implementation of
-// bestBillboardFor: evaluate every unassigned billboard. Billboards the
-// model's CanAssign hook rejects are skipped before they count as
-// candidates.
-func bestBillboardScan(p *Plan, i int) (best int, ok bool) {
 	u := p.inst.Universe()
 	curRegret := p.Regret(i)
 	curInfl := p.Influence(i)
@@ -68,7 +53,41 @@ func bestBillboardScan(p *Plan, i int) (best int, ok bool) {
 		}
 	}
 	p.stats.Misses += candidates
+	p.stats.Rescans++
 	return best, best != -1
+}
+
+// CacheStats counts the greedy's billboard-selection work for one plan. It
+// keeps the hit/miss/rescan shape that Anytime.Cache, the tracers and the
+// mroamd_gain_cache_events_total metric report, so their consumers read the
+// same fields.
+type CacheStats struct {
+	// Hits is always 0: no selection skips a candidate.
+	Hits int64
+	// Misses counts candidates whose marginal gain was exactly evaluated:
+	// per selection call, the unassigned billboards with non-zero degree
+	// that the model's CanAssign hook accepts.
+	Misses int64
+	// Rescans counts bestBillboardFor calls, each a full scan.
+	Rescans int64
+}
+
+// Add returns the field-wise sum s + o.
+func (s CacheStats) Add(o CacheStats) CacheStats {
+	return CacheStats{
+		Hits:    s.Hits + o.Hits,
+		Misses:  s.Misses + o.Misses,
+		Rescans: s.Rescans + o.Rescans,
+	}
+}
+
+// Sub returns the field-wise difference s − o.
+func (s CacheStats) Sub(o CacheStats) CacheStats {
+	return CacheStats{
+		Hits:    s.Hits - o.Hits,
+		Misses:  s.Misses - o.Misses,
+		Rescans: s.Rescans - o.Rescans,
+	}
 }
 
 // byBudgetEffectiveness returns advertiser indices sorted by descending

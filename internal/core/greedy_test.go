@@ -285,3 +285,87 @@ func TestGreedyOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestGainCacheStatsMatchRecount drives a deterministic selection sequence
+// on a base instance and on a zonal copy whose cap binds, and checks the
+// CacheStats counters (reported as mroamd_gain_cache_events_total) against
+// a brute-force recount before every selection: Misses = Σ candidates (the
+// unassigned billboards with non-zero degree that CanAssign accepts),
+// Hits = 0 and Rescans = the number of selection calls.
+func TestGainCacheStatsMatchRecount(t *testing.T) {
+	base := randomInstance(rng.New(909), 300, 30, 20, 5, 1.0, 0.5)
+	zoneOf := make([]int, base.Universe().NumBillboards())
+	for b := range zoneOf {
+		zoneOf[b] = b % 3
+	}
+	m, err := NewZonalModel(zoneOf, int64(base.Universe().MaxDegree()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zonal, err := base.WithModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range []*Instance{base, zonal} {
+		u := inst.Universe()
+		p := NewPlan(inst)
+		var recount, calls, rejected int64
+		for i := 0; i < inst.NumAdvertisers(); i++ {
+			for !p.Satisfied(i) {
+				for b := 0; b < u.NumBillboards(); b++ {
+					if p.Owner(b) != Unassigned || u.Degree(b) == 0 {
+						continue
+					}
+					if inst.Model().CanAssign(p, i, b) {
+						recount++
+					} else {
+						rejected++
+					}
+				}
+				b, ok := bestBillboardFor(p, i)
+				calls++
+				if !ok {
+					break
+				}
+				p.Assign(b, i)
+			}
+		}
+		kind := inst.Model().Kind()
+		if inst == zonal && rejected == 0 {
+			t.Fatal("zonal: the cap never rejected a candidate")
+		}
+		st := p.CacheStats()
+		if st.Hits != 0 {
+			t.Errorf("%s: %d hits, want 0", kind, st.Hits)
+		}
+		if st.Misses != recount {
+			t.Errorf("%s: misses %d != brute-force candidate recount %d", kind, st.Misses, recount)
+		}
+		if st.Rescans != calls {
+			t.Errorf("%s: rescans %d != selection calls %d", kind, st.Rescans, calls)
+		}
+	}
+}
+
+// TestGainCacheStatsAcrossAlgorithms: every algorithm reports Hits = 0 and
+// non-zero Misses and Rescans, and its counters, like its evals, are the
+// same for any worker count.
+func TestGainCacheStatsAcrossAlgorithms(t *testing.T) {
+	inst := randomInstance(rng.New(313), 250, 28, 22, 5, 1.2, 0.5)
+	for _, name := range []string{"G-Order", "G-Global", "ALS", "BLS"} {
+		var stats [2]CacheStats
+		for k, workers := range []int{1, 3} {
+			alg, err := AlgorithmByNameOpts(name, LocalSearchOptions{Restarts: 2, Seed: 7, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats[k] = alg.Solve(inst).CacheStats()
+		}
+		if stats[0] != stats[1] {
+			t.Errorf("%s: stats %+v at 1 worker, %+v at 3", name, stats[0], stats[1])
+		}
+		if st := stats[0]; st.Hits != 0 || st.Misses == 0 || st.Rescans == 0 {
+			t.Errorf("%s: stats %+v, want 0 hits and non-zero misses and rescans", name, st)
+		}
+	}
+}

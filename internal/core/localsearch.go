@@ -65,7 +65,7 @@ type LocalSearchOptions struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Tracer, when non-nil, receives solver progress events: restart
-	// lifecycle, best-regret improvements, eval-count and gain-cache
+	// lifecycle, best-regret improvements, eval-count and selection
 	// counter deltas (trace.go). Tracing is purely observational — the
 	// solve result is bit-identical with or without it — and the nil
 	// (disabled) path costs nothing. Implementations must be safe for

@@ -33,15 +33,12 @@ func BenchmarkBillboardLocalSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSynchronousGreedySelection compares the lazy-greedy (CELF) gain
-// cache against the reference full scan on the same workload, reporting
-// the marginal-evaluation count per run. The instance is sized so marginal
-// evaluations dominate (high-degree billboards): that is the regime the
-// cache targets — on tiny instances heap upkeep can cost more than the
-// cheap evaluations it skips. The zonal market splits the billboards
-// round-robin into 8 zones capped at the maximum degree, so every
-// advertiser's demand exceeds what the caps let it hold and the cache has
-// to drop infeasible heap tops.
+// BenchmarkSynchronousGreedySelection measures G-Global's billboard
+// selection, reporting the marginal-evaluation count per run. The instance
+// is sized so selection dominates (600 high-degree billboards, 40
+// advertisers). The zonal market splits the billboards round-robin into 8
+// zones capped at the maximum degree, so every advertiser's demand exceeds
+// what the caps let it hold and every candidate's CanAssign check matters.
 func BenchmarkSynchronousGreedySelection(b *testing.B) {
 	inst := randomInstance(rng.New(9), 20000, 600, 400, 40, 1.2, 0.5)
 	zoneOf := make([]int, inst.Universe().NumBillboards())
@@ -57,21 +54,14 @@ func BenchmarkSynchronousGreedySelection(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, market := range []*Instance{inst, zinst} {
-		for _, mode := range []struct {
-			name string
-			celf celfModeKind
-		}{{"celf", celfForceOn}, {"scan", celfForceOff}} {
-			b.Run(market.Model().Kind()+"/"+mode.name, func(b *testing.B) {
-				defer func(prev celfModeKind) { celfMode = prev }(celfMode)
-				celfMode = mode.celf
-				var evals int64
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					evals = GGlobal(market).Evals()
-				}
-				b.ReportMetric(float64(evals), "evals")
-			})
-		}
+		b.Run(market.Model().Kind(), func(b *testing.B) {
+			var evals int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				evals = GGlobal(market).Evals()
+			}
+			b.ReportMetric(float64(evals), "evals")
+		})
 	}
 }
 

@@ -7,20 +7,21 @@ import (
 
 // This file defines the pluggable regret-model layer. A Model owns the
 // per-advertiser objective (regret, satisfaction, the dual R′) and the
-// feasibility semantics of a problem variant, so the four solvers, the gain
-// cache and the theory checks can serve materially different markets
-// (zonal-capped, tag-specific, time-sliced, ...) without forking. The
-// contract every variant must supply is documented in DESIGN.md §15.
+// feasibility semantics of a problem variant, so the four solvers and the
+// theory checks can serve materially different markets (zonal-capped,
+// tag-specific, time-sliced, ...) without forking. The contract every
+// variant must supply is documented in DESIGN.md §15.
 //
 // BaseModel reproduces the paper's MROAM closed forms bit-identically.
-// Instance.Regret/Satisfied/Dual, the solvers' feasibility hooks and the
-// CELF gain cache reach every model, the base one included, through this
-// interface alone (DESIGN.md §15 has the measurements that show the
-// dispatch is free). ZonalModel is the first shipped variant: the same
-// objective under per-zone caps on an advertiser's counted influence, after
-// "Minimizing Regret in Billboard Advertisement under Zonal Influence
-// Constraint" (arXiv 2402.01294); it embeds BaseModel for the objective and
-// overrides only the feasibility hooks and ψ.
+// Instance.Regret/Satisfied/Dual and the solvers' feasibility hooks reach
+// every model, the base one included, through this interface alone
+// (DESIGN.md §15 has the measurements that show the dispatch is free).
+// ZonalModel is the first shipped variant: the same objective under
+// per-zone caps on an advertiser's counted influence, after "Minimizing
+// Regret in Billboard Advertisement under Zonal Influence Constraint"
+// (arXiv 2402.01294); it embeds BaseModel for the objective and overrides
+// only the partition, the feasibility hooks and ψ. Its per-zone loads are
+// kept by the Plan (Assignment.GroupLoad), so every hook is O(1).
 
 // Assignment is the read-only view of a deployment plan a Model consults for
 // feasibility decisions. *Plan satisfies it; the interface keeps models from
@@ -36,11 +37,15 @@ type Assignment interface {
 	SetSize(i int) int
 	// Set appends S_i's billboards to dst in ascending order.
 	Set(i int, dst []int) []int
+	// GroupLoad returns Σ I({b}) over the billboards b ∈ S_i in group g of
+	// the instance model's Partition. It is only defined when that
+	// partition is non-nil.
+	GroupLoad(i, g int) int64
 }
 
 // Model is one problem variant: the objective evaluated per advertiser at a
-// given achieved influence, the prune bound that keeps the lazy-greedy gain
-// cache admissible, and the feasibility hooks the solvers consult before
+// given achieved influence, an optional billboard partition whose loads the
+// plan keeps, and the feasibility hooks the solvers consult before
 // add/swap/exchange moves. Implementations must be stateless with respect to
 // any particular plan (the same Model value serves concurrent restarts) and
 // every method must be deterministic.
@@ -58,17 +63,12 @@ type Model interface {
 	// (Equation 2 for the base model).
 	Dual(in *Instance, i, achieved int) float64
 
-	// MarginalUpperBound returns a constant C such that for advertiser i at
-	// the given achieved influence and current regret, every candidate
-	// billboard b satisfies
-	//
-	//	(R(S_i) − R(S_i ∪ {b})) / I({b}) ≤ C · r̂(b)
-	//
-	// for any upper bound r̂(b) ≥ gain(b)/I({b}). This is the admissibility
-	// contract of the CELF gain cache (gaincache.go): an inadmissible bound
-	// silently changes greedy selections. TestModelMarginalUpperBound
-	// property-checks it for every shipped model.
-	MarginalUpperBound(in *Instance, i, achieved int, curRegret float64) float64
+	// Partition returns the billboard → group map (indexed by billboard
+	// ID, groups numbered from 0) whose per-advertiser degree sums the
+	// feasibility hooks read through Assignment.GroupLoad, or nil when the
+	// variant needs none. A Plan keeps those sums current on every
+	// mutation; the returned slice must not change afterwards.
+	Partition() []int
 
 	// CanAssign reports whether giving unassigned billboard b to advertiser
 	// i keeps S_i feasible. Release moves need no hook: feasible sets are
@@ -128,29 +128,8 @@ func (BaseModel) Dual(in *Instance, i, achieved int) float64 {
 	return a.Payment - a.Payment*(float64(achieved)-d)/d
 }
 
-// MarginalUpperBound derives C from Equation 1's two branches. Writing
-// x = achieved, d = I_i, t = d − x > 0, g = gain(b), deg = I({b}):
-//
-//	g <  t:  key1 = (L·γ/d)·(g/deg)         ≤ (L·γ/d)·r̂
-//	g >= t:  key1 ≤ R(S_i)/deg ≤ R(S_i)·r̂/t  (since r̂ ≥ g/deg ≥ t/deg)
-//
-// The crossing term R(S_i)/t only matters when some billboard could actually
-// cross the remaining demand t, which requires a degree of at least t. When
-// the advertiser is already satisfied, key1 ≤ 0 for every billboard (extra
-// influence only adds excessive regret), so C = 0 remains a valid bound.
-func (BaseModel) MarginalUpperBound(in *Instance, i, achieved int, curRegret float64) float64 {
-	a := in.advertisers[i]
-	if int64(achieved) >= a.Demand {
-		return 0
-	}
-	c := a.Payment * in.gamma / float64(a.Demand)
-	if t := a.Demand - int64(achieved); t <= int64(in.universe.MaxDegree()) {
-		if rb := curRegret / float64(t); rb > c {
-			c = rb
-		}
-	}
-	return c
-}
+// Partition returns nil: the base market keeps no per-group loads.
+func (BaseModel) Partition() []int { return nil }
 
 // CanAssign always allows: the base market has no per-set constraints.
 func (BaseModel) CanAssign(Assignment, int, int) bool { return true }
@@ -207,10 +186,9 @@ const (
 // catalog.Build); the cap is uniform across zones and advertisers, which
 // makes whole-set exchanges (the ALS move) trivially feasibility-preserving.
 //
-// The objective is the base one: Regret, Satisfied, Dual, MarginalUpperBound
-// (still admissible over any feasible candidate subset) and CanExchangeSets
-// (the uniform cap makes every whole-set trade feasible) are promoted from
-// the embedded BaseModel.
+// The objective is the base one: Regret, Satisfied, Dual and
+// CanExchangeSets (the uniform cap makes every whole-set trade feasible) are
+// promoted from the embedded BaseModel.
 type ZonalModel struct {
 	BaseModel
 	zoneOf []int // billboard ID -> zone index
@@ -249,19 +227,9 @@ func (m *ZonalModel) Cap() int64 { return m.cap }
 // ZoneOf returns billboard b's zone index.
 func (m *ZonalModel) ZoneOf(b int) int { return m.zoneOf[b] }
 
-// zoneLoad returns advertiser i's influence supply currently counted in
-// zone, in O(|S_i|) with no retained state (the model serves concurrent
-// restarts).
-func (m *ZonalModel) zoneLoad(p Assignment, i, zone int) int64 {
-	u := p.Instance().Universe()
-	var load int64
-	for _, b := range p.Set(i, nil) {
-		if m.zoneOf[b] == zone {
-			load += int64(u.Degree(b))
-		}
-	}
-	return load
-}
+// Partition returns the zone of every billboard: the Plan keeps each
+// advertiser's per-zone load, which CanAssign and CanSwap read.
+func (m *ZonalModel) Partition() []int { return m.zoneOf }
 
 // CanAssign allows the assignment iff billboard b's zone stays within the
 // cap after adding b's supply to advertiser i's load there.
@@ -270,8 +238,7 @@ func (m *ZonalModel) CanAssign(p Assignment, i, b int) bool {
 	if deg == 0 {
 		return true
 	}
-	z := m.zoneOf[b]
-	return m.zoneLoad(p, i, z)+deg <= m.cap
+	return p.GroupLoad(i, m.zoneOf[b])+deg <= m.cap
 }
 
 // CanSwap allows replacing out ∈ S_i with repl iff repl's zone stays within
@@ -283,14 +250,16 @@ func (m *ZonalModel) CanSwap(p Assignment, i, out, repl int) bool {
 		return true
 	}
 	z := m.zoneOf[repl]
-	load := m.zoneLoad(p, i, z) + deg
+	load := p.GroupLoad(i, z) + deg
 	if m.zoneOf[out] == z {
 		load -= int64(u.Degree(out))
 	}
 	return load <= m.cap
 }
 
-// Validate checks every advertiser's per-zone load against the cap.
+// Validate checks every advertiser's per-zone load against the cap. It
+// recounts the loads from the sets rather than reading GroupLoad, so it
+// stays an independent reference for the plan's incremental sums.
 func (m *ZonalModel) Validate(p Assignment) error {
 	u := p.Instance().Universe()
 	loads := make([]int64, m.zones)

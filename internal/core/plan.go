@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/coverage"
 )
@@ -17,18 +18,20 @@ const Unassigned = -1
 // The plan maintains, per advertiser, an incremental coverage counter so
 // that influence, regret and marginal gains are always available in O(1)
 // and every mutation costs O(deg) in the size of the affected coverage
-// lists, plus the counter's gain-table upkeep (see coverage.Counter). It also
-// counts marginal-influence evaluations (evals) as the work measure
-// reported by the efficiency study.
+// lists, plus the counter's gain-table upkeep (see coverage.Counter). When
+// the instance's model declares a Partition, the plan also keeps each
+// advertiser's degree sum per group (GroupLoad), so the model's feasibility
+// hooks are O(1). It also counts marginal-influence evaluations (evals) as
+// the work measure reported by the efficiency study.
 type Plan struct {
 	inst     *Instance
 	counters []*coverage.Counter // one per advertiser
 	regrets  []float64           // cached R(S_i)
 	owner    []int               // billboard -> advertiser index or Unassigned
+	group    []int               // billboard -> group of the model's Partition, or nil
+	loads    [][]int64           // per advertiser and group, Σ I({b}) over S_i; nil without group
 	evals    int64               // marginal-evaluation counter (work measure)
-	cache    *gainCache          // lazy-greedy selection state (gaincache.go)
-	stats    CacheStats          // selection-engine effectiveness counters
-	eligible int                 // unassigned billboards with non-zero degree
+	stats    CacheStats          // selection counters (see CacheStats)
 }
 
 // NewPlan returns the empty plan (every billboard unassigned) for the
@@ -45,11 +48,18 @@ func NewPlan(inst *Instance) *Plan {
 		p.counters[i] = coverage.NewCounterWithThreshold(inst.Universe(), inst.Impressions())
 		p.regrets[i] = inst.Regret(i, 0)
 	}
-	u := inst.Universe()
 	for b := range p.owner {
 		p.owner[b] = Unassigned
-		if u.Degree(b) > 0 {
-			p.eligible++
+	}
+	if group := inst.model.Partition(); group != nil {
+		groups := 0
+		for _, g := range group {
+			groups = max(groups, g+1)
+		}
+		p.group = group
+		p.loads = make([][]int64, n)
+		for i := range p.loads {
+			p.loads[i] = make([]int64, groups)
 		}
 	}
 	return p
@@ -112,6 +122,10 @@ func (p *Plan) Set(i int, dst []int) []int { return p.counters[i].Members(dst) }
 // SetSize returns |S_i|.
 func (p *Plan) SetSize(i int) int { return p.counters[i].Size() }
 
+// GroupLoad returns Σ I({b}) over the billboards of S_i in group g of the
+// model's Partition. It panics when the model declares no partition.
+func (p *Plan) GroupLoad(i, g int) int64 { return p.loads[i][g] }
+
 // UnassignedBillboards appends all unassigned billboard IDs to dst in
 // ascending order and returns the extended slice.
 func (p *Plan) UnassignedBillboards(dst []int) []int {
@@ -132,11 +146,10 @@ func (p *Plan) Evals() int64 { return p.evals }
 // perform marginal evaluations outside the plan's own mutation methods.
 func (p *Plan) AddEvals(n int64) { p.evals += n }
 
-// CacheStats returns the cumulative selection-engine effectiveness counters
-// (gain-cache hits/misses and full-scan fallbacks) accrued through this
-// plan. Like Evals, the counters of a plan returned by the restart
-// framework aggregate the deterministic completed prefix, so they are
-// identical for any worker count.
+// CacheStats returns the cumulative greedy-selection counters accrued
+// through this plan. Like Evals, the counters of a plan returned by the
+// restart framework aggregate the deterministic completed prefix, so they
+// are identical for any worker count.
 func (p *Plan) CacheStats() CacheStats { return p.stats }
 
 // refreshRegret recomputes the cached regret of advertiser i after its
@@ -152,8 +165,8 @@ func (p *Plan) Assign(b, i int) {
 		panic(fmt.Sprintf("core: Assign(%d, %d): billboard owned by %d", b, i, p.owner[b]))
 	}
 	p.owner[b] = i
-	if p.inst.Universe().Degree(b) > 0 {
-		p.eligible--
+	if p.loads != nil {
+		p.loads[i][p.group[b]] += int64(p.inst.Universe().Degree(b))
 	}
 	p.counters[i].Add(b)
 	p.evals++
@@ -168,16 +181,12 @@ func (p *Plan) Release(b int) {
 		panic(fmt.Sprintf("core: Release(%d): billboard not owned", b))
 	}
 	p.owner[b] = Unassigned
-	if p.inst.Universe().Degree(b) > 0 {
-		p.eligible++
+	if p.loads != nil {
+		p.loads[i][p.group[b]] -= int64(p.inst.Universe().Degree(b))
 	}
 	p.counters[i].Remove(b)
 	p.evals++
 	p.refreshRegret(i)
-	// S_i shrank, so i's cached gain upper bounds are no longer bounds;
-	// the freed billboard re-enters the other advertisers' heaps.
-	p.invalidateGainCache(i)
-	p.gainCacheOnRelease(b)
 }
 
 // ReleaseAll returns every billboard of advertiser i to the unassigned pool
@@ -192,16 +201,13 @@ func (p *Plan) ReleaseAll(i int) int {
 	}
 	p.counters[i].Reset()
 	p.refreshRegret(i)
-	p.invalidateGainCache(i)
-	u := p.inst.Universe()
+	if p.loads != nil {
+		clear(p.loads[i])
+	}
 	for _, b := range members {
 		p.owner[b] = Unassigned
-		if u.Degree(b) > 0 {
-			p.eligible++
-		}
-		p.evals++
-		p.gainCacheOnRelease(b)
 	}
+	p.evals += int64(len(members))
 	return len(members)
 }
 
@@ -228,8 +234,8 @@ func (p *Plan) SwapDeltaOf(i, out, in int) int {
 }
 
 // ExchangeSets swaps the entire billboard sets of advertisers i and j
-// (the ALS move). Influence values travel with the sets; only the regret
-// mapping changes.
+// (the ALS move). Influence values and group loads travel with the sets;
+// only the regret mapping changes.
 func (p *Plan) ExchangeSets(i, j int) {
 	if i == j {
 		return
@@ -241,12 +247,12 @@ func (p *Plan) ExchangeSets(i, j int) {
 		p.owner[b] = i
 	}
 	p.counters[i], p.counters[j] = p.counters[j], p.counters[i]
+	if p.loads != nil {
+		p.loads[i], p.loads[j] = p.loads[j], p.loads[i]
+	}
 	p.evals++
 	p.refreshRegret(i)
 	p.refreshRegret(j)
-	// Both sets changed wholesale; their gain bounds are meaningless now.
-	p.invalidateGainCache(i)
-	p.invalidateGainCache(j)
 }
 
 // ExchangeBillboards swaps billboard bi (owned by advertiser i) with
@@ -284,12 +290,18 @@ func (p *Plan) Clone() *Plan {
 		counters: make([]*coverage.Counter, len(p.counters)),
 		regrets:  append([]float64(nil), p.regrets...),
 		owner:    append([]int(nil), p.owner...),
+		group:    p.group,
 		evals:    p.evals,
 		stats:    p.stats,
-		eligible: p.eligible,
 	}
 	for i, ctr := range p.counters {
 		c.counters[i] = ctr.Clone()
+	}
+	if p.loads != nil {
+		c.loads = make([][]int64, len(p.loads))
+		for i, row := range p.loads {
+			c.loads[i] = slices.Clone(row)
+		}
 	}
 	return c
 }
@@ -309,15 +321,17 @@ func (p *Plan) CopyFrom(src *Plan) {
 	}
 	copy(p.regrets, src.regrets)
 	copy(p.owner, src.owner)
+	for i, row := range src.loads {
+		copy(p.loads[i], row)
+	}
 	p.evals = src.evals
 	p.stats = src.stats
-	p.eligible = src.eligible
-	p.invalidateAllGainCaches()
 }
 
 // Validate checks the structural invariants: the owner table matches the
-// counters, cached regrets match a recomputation, and disjointness holds by
-// construction of the owner table. It returns the first violation found.
+// counters, cached regrets match a recomputation, the group loads match a
+// recount from the owner table, and disjointness holds by construction of
+// the owner table. It returns the first violation found.
 func (p *Plan) Validate() error {
 	u := p.inst.Universe()
 	for b := 0; b < u.NumBillboards(); b++ {
@@ -343,6 +357,24 @@ func (p *Plan) Validate() error {
 		want := p.inst.Regret(i, p.counters[i].Covered())
 		if diff := p.regrets[i] - want; diff > 1e-9 || diff < -1e-9 {
 			return fmt.Errorf("core: advertiser %d cached regret %v, recomputed %v", i, p.regrets[i], want)
+		}
+	}
+	if p.loads != nil {
+		want := make([][]int64, len(p.loads))
+		for i, row := range p.loads {
+			want[i] = make([]int64, len(row))
+		}
+		for b, o := range p.owner {
+			if o != Unassigned {
+				want[o][p.group[b]] += int64(u.Degree(b))
+			}
+		}
+		for i, row := range p.loads {
+			for g, load := range row {
+				if load != want[i][g] {
+					return fmt.Errorf("core: advertiser %d group %d load %d, recounted %d", i, g, load, want[i][g])
+				}
+			}
 		}
 	}
 	// The model's own feasibility constraints (per-zone caps for

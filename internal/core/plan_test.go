@@ -283,3 +283,97 @@ func TestPlanRandomOpsKeepInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPlanGroupLoadsTrackEveryMutation drives random Plan mutations on
+// zonal instances and calls Validate, which recounts every advertiser's
+// per-zone load from the owner table, after each one and after warm-start
+// seeding. The random walk runs under a cap no set can reach, so every
+// mutation kind applies unguarded; the warm start runs under a binding cap,
+// so CanAssign gates the replay on the loads it reads.
+func TestPlanGroupLoadsTrackEveryMutation(t *testing.T) {
+	r := rng.New(2121)
+	ops := map[string]int{}
+	warmHeld := 0
+	check := func(trial int, op string, p *Plan) {
+		t.Helper()
+		ops[op]++
+		if err := p.Validate(); err != nil {
+			t.Fatalf("trial %d after %s: %v", trial, op, err)
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		inst := zonalInstance(t, r, 1+r.Intn(4), 1<<40)
+		n, nB := inst.NumAdvertisers(), inst.Universe().NumBillboards()
+		p := NewPlan(inst)
+		for step := 0; step < 300; step++ {
+			b := r.Intn(nB)
+			i, j := r.Intn(n), r.Intn(n)
+			switch r.Intn(10) {
+			case 0, 1, 2:
+				if p.Owner(b) == Unassigned {
+					p.Assign(b, i)
+					check(trial, "Assign", p)
+				}
+			case 3:
+				if p.Owner(b) != Unassigned {
+					p.Release(b)
+					check(trial, "Release", p)
+				}
+			case 4:
+				p.ReleaseAll(i)
+				check(trial, "ReleaseAll", p)
+			case 5:
+				if free := p.UnassignedBillboards(nil); p.Owner(b) != Unassigned && len(free) > 0 {
+					p.Replace(b, free[r.Intn(len(free))])
+					check(trial, "Replace", p)
+				}
+			case 6:
+				b2 := r.Intn(nB)
+				if o, o2 := p.Owner(b), p.Owner(b2); o != Unassigned && o2 != Unassigned && o != o2 {
+					p.ExchangeBillboards(b, b2)
+					check(trial, "ExchangeBillboards", p)
+				}
+			case 7:
+				p.ExchangeSets(i, j)
+				check(trial, "ExchangeSets", p)
+			case 8:
+				p.CopyFrom(randomPlan(r, inst))
+				check(trial, "CopyFrom", p)
+			case 9:
+				c := p.Clone()
+				c.ReleaseAll(i)
+				if p.Owner(b) == Unassigned {
+					c.Assign(b, j)
+				}
+				check(trial, "Clone", c)
+				check(trial, "Clone (original)", p)
+				if r.Intn(2) == 0 {
+					p = c
+				}
+			}
+		}
+
+		tight := zonalInstance(t, r, 1+r.Intn(4), int64(2+r.Intn(15)))
+		sets := make([][]int, tight.NumAdvertisers())
+		for k := range sets {
+			for range 1 + r.Intn(tight.Universe().NumBillboards()) {
+				sets[k] = append(sets[k], r.Intn(tight.Universe().NumBillboards()))
+			}
+		}
+		wp := NewPlan(tight)
+		applyWarmStart(wp, &WarmStart{Sets: sets})
+		check(trial, "warm start", wp)
+		for k := range sets {
+			warmHeld += wp.SetSize(k)
+		}
+	}
+	if warmHeld == 0 {
+		t.Error("no warm start replayed a single billboard")
+	}
+	for _, op := range []string{"Assign", "Release", "ReleaseAll", "Replace",
+		"ExchangeBillboards", "ExchangeSets", "CopyFrom", "Clone", "warm start"} {
+		if ops[op] == 0 {
+			t.Errorf("%s never ran", op)
+		}
+	}
+}

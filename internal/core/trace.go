@@ -4,7 +4,7 @@ import "time"
 
 // This file defines the solver probe interface: a Tracer receives progress
 // events from the randomized local search framework (restart lifecycle,
-// best-regret improvements, eval-count and gain-cache counter deltas) so
+// best-regret improvements, eval-count and selection-counter deltas) so
 // that serving layers can meter solves and the CLI can record the paper's
 // regret-vs-time convergence trajectories.
 //
@@ -44,8 +44,8 @@ type Tracer interface {
 	// Evals reports the marginal-evaluation delta of a finished (or
 	// abandoned) slot. Deltas sum to the Anytime.Evals work measure.
 	Evals(delta int64)
-	// Cache reports the gain-cache counter delta of a finished (or
-	// abandoned) slot.
+	// Cache reports the selection-counter (CacheStats) delta of a
+	// finished (or abandoned) slot.
 	Cache(delta CacheStats)
 }
 

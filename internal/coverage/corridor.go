@@ -16,8 +16,8 @@ package coverage
 //
 // because the signature classes partition the covered trajectories and a
 // corridor is hit by S iff each of its trajectories is covered by S. Degree,
-// MaxDegree, TotalSupply, Counter gains/losses and every CELF bound are
-// therefore bit-identical between the substrates, and so are the solver's
+// MaxDegree, TotalSupply and Counter gains/losses are therefore
+// bit-identical between the substrates, and so are the solver's
 // plans: tie-breaks compare billboard IDs and influence values only, never
 // raw trajectory IDs.
 

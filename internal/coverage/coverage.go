@@ -255,8 +255,7 @@ func (u *Universe) Degree(b int) int {
 }
 
 // MaxDegree returns the largest single-billboard influence max_o I({o}),
-// precomputed at construction. The lazy-greedy selection uses it to decide
-// whether any billboard could cross an advertiser's remaining demand.
+// precomputed at construction (the ψ of Lemma 6.1 divides it by a demand).
 func (u *Universe) MaxDegree() int { return u.maxDegree }
 
 // TotalSupply returns I* = Σ_o I({o}), the host's supply as defined for the

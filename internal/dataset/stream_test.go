@@ -24,7 +24,8 @@ import (
 // two paths share; plan identity between raw and compressed substrates is
 // pinned separately by TestSolversInvariantUnderCompression. Chunk sizes
 // cover one trip per chunk, an odd size that puts chunk boundaries
-// mid-stream, and a single chunk larger than |T|.
+// mid-stream, and a single chunk larger than |T|; each runs on one, two and
+// three join workers, so the universe must not depend on the worker count.
 func TestStreamedBuildMatchesMaterialized(t *testing.T) {
 	const lambda = 100
 	for _, cfg := range []Config{DefaultNYC(11).Scale(0.05), DefaultSG(12).Scale(0.05)} {
@@ -40,45 +41,49 @@ func TestStreamedBuildMatchesMaterialized(t *testing.T) {
 			want, wantStats := coverage.Compress(raw)
 			for _, chunk := range []int{1, 257, cfg.Trajectories + 1} {
 				t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
-					got, err := GenerateUniverse(cfg, StreamOptions{Lambda: lambda, ChunkSize: chunk})
-					if err != nil {
-						t.Fatal(err)
-					}
-					u := got.Universe
-					if _, stats := coverage.Compress(u); stats != wantStats {
-						t.Fatalf("compression stats %+v, want %+v", stats, wantStats)
-					}
-					if u.NumTrajectories() != want.NumTrajectories() || u.NumIDs() != want.NumIDs() ||
-						u.NumBillboards() != want.NumBillboards() {
-						t.Fatalf("dims %d/%d/%d, want %d/%d/%d", u.NumTrajectories(), u.NumIDs(), u.NumBillboards(),
-							want.NumTrajectories(), want.NumIDs(), want.NumBillboards())
-					}
-					for id := int32(0); int(id) < want.NumIDs(); id++ {
-						if u.Weight(id) != want.Weight(id) {
-							t.Fatalf("corridor %d weight %d, want %d", id, u.Weight(id), want.Weight(id))
-						}
-					}
-					for b := 0; b < want.NumBillboards(); b++ {
-						if !slices.Equal(u.List(b), want.List(b)) || u.Degree(b) != want.Degree(b) {
-							t.Fatalf("billboard %d: %d corridors (degree %d) streamed, %d (degree %d) materialized",
-								b, len(u.List(b)), u.Degree(b), len(want.List(b)), want.Degree(b))
-						}
-					}
-					if got.Billboards.Len() != d.Billboards.Len() {
-						t.Fatalf("billboard counts differ")
-					}
-					for b := 0; b < d.Billboards.Len(); b++ {
-						sb, mb := got.Billboards.At(b), d.Billboards.At(b)
-						if sb.Loc != mb.Loc || sb.Cost != mb.Cost {
-							t.Fatalf("billboard %d: streamed %+v/%d, materialized %+v/%d",
-								b, sb.Loc, sb.Cost, mb.Loc, mb.Cost)
-						}
-					}
-					if wantTraj := d.Trajectories.ComputeStats(); got.Stats != wantTraj {
-						t.Fatalf("trajectory stats %+v, want %+v", got.Stats, wantTraj)
-					}
-					if got.Table5() != d.Table5() {
-						t.Fatalf("Table5 %+v, want %+v", got.Table5(), d.Table5())
+					for _, workers := range []int{1, 2, 3} {
+						t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+							got, err := GenerateUniverse(cfg, StreamOptions{Lambda: lambda, ChunkSize: chunk, Parallelism: workers})
+							if err != nil {
+								t.Fatal(err)
+							}
+							u := got.Universe
+							if _, stats := coverage.Compress(u); stats != wantStats {
+								t.Fatalf("compression stats %+v, want %+v", stats, wantStats)
+							}
+							if u.NumTrajectories() != want.NumTrajectories() || u.NumIDs() != want.NumIDs() ||
+								u.NumBillboards() != want.NumBillboards() {
+								t.Fatalf("dims %d/%d/%d, want %d/%d/%d", u.NumTrajectories(), u.NumIDs(), u.NumBillboards(),
+									want.NumTrajectories(), want.NumIDs(), want.NumBillboards())
+							}
+							for id := int32(0); int(id) < want.NumIDs(); id++ {
+								if u.Weight(id) != want.Weight(id) {
+									t.Fatalf("corridor %d weight %d, want %d", id, u.Weight(id), want.Weight(id))
+								}
+							}
+							for b := 0; b < want.NumBillboards(); b++ {
+								if !slices.Equal(u.List(b), want.List(b)) || u.Degree(b) != want.Degree(b) {
+									t.Fatalf("billboard %d: %d corridors (degree %d) streamed, %d (degree %d) materialized",
+										b, len(u.List(b)), u.Degree(b), len(want.List(b)), want.Degree(b))
+								}
+							}
+							if got.Billboards.Len() != d.Billboards.Len() {
+								t.Fatalf("billboard counts differ")
+							}
+							for b := 0; b < d.Billboards.Len(); b++ {
+								sb, mb := got.Billboards.At(b), d.Billboards.At(b)
+								if sb.Loc != mb.Loc || sb.Cost != mb.Cost {
+									t.Fatalf("billboard %d: streamed %+v/%d, materialized %+v/%d",
+										b, sb.Loc, sb.Cost, mb.Loc, mb.Cost)
+								}
+							}
+							if wantTraj := d.Trajectories.ComputeStats(); got.Stats != wantTraj {
+								t.Fatalf("trajectory stats %+v, want %+v", got.Stats, wantTraj)
+							}
+							if got.Table5() != d.Table5() {
+								t.Fatalf("Table5 %+v, want %+v", got.Table5(), d.Table5())
+							}
+						})
 					}
 				})
 			}

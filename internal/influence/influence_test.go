@@ -265,6 +265,66 @@ func TestDigitalSlotFilterMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBuildCoverageWorkerInvariance: the chunked fill hands chunks to
+// workers in whatever order they ask, so the universe must not depend on
+// how many there are. Two and three workers are checked against one, with
+// and without the digital-slot time filter, on trips that span several
+// join chunks.
+func TestBuildCoverageWorkerInvariance(t *testing.T) {
+	const lambda = 100
+	r := rng.New(77)
+	day := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	trajs := make([]trajectory.Trajectory, 40000)
+	for i := range trajs {
+		n := 2 + r.Intn(5)
+		pts := make([]geo.Point, n)
+		offs := make([]float64, n)
+		for j := range pts {
+			pts[j] = geo.Point{X: r.Range(0, 2000), Y: r.Range(0, 2000)}
+			if j > 0 {
+				offs[j] = offs[j-1] + r.Range(1, 3600)
+			}
+		}
+		start := day.Add(time.Duration(r.Intn(secondsPerDay)) * time.Second)
+		trajs[i] = trajectory.Trajectory{Points: pts, Start: start, Offsets: offs}
+	}
+	tdb := makeTDB(t, trajs)
+	if points := tdb.ComputeStats().TotalPoints; points < 2*chunkPoints {
+		t.Fatalf("%d points span a single join chunk", points)
+	}
+	bills := make([]billboard.Billboard, 40)
+	for i := range bills {
+		bills[i] = billboard.Billboard{Loc: geo.Point{X: r.Range(0, 2000), Y: r.Range(0, 2000)}}
+	}
+	static := billboard.NewDB(bills)
+	digital, err := static.ExpandDigital([]int{1, 5, 9, 20, 33}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		bdb   *billboard.DB
+		slots int
+	}{{static, 0}, {digital, 4}} {
+		build := func(workers int) *coverage.Universe {
+			u, err := BuildCoverage(tdb, c.bdb, Options{Lambda: lambda, SlotsPerDay: c.slots, Parallelism: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return u
+		}
+		want := build(1)
+		for _, workers := range []int{2, 3} {
+			got := build(workers)
+			for b := 0; b < c.bdb.Len(); b++ {
+				if !slices.Equal(got.List(b), want.List(b)) {
+					t.Fatalf("slots=%d workers=%d billboard %d: %d trips covered, %d with one worker",
+						c.slots, workers, b, len(got.List(b)), len(want.List(b)))
+				}
+			}
+		}
+	}
+}
+
 func TestSlotOf(t *testing.T) {
 	if slotOf(0, 2) != 0 || slotOf(43199, 2) != 0 || slotOf(43200, 2) != 1 || slotOf(86399, 2) != 1 {
 		t.Error("slotOf boundaries wrong")

@@ -99,8 +99,8 @@ func newMetrics(cat *catalog.Catalog) *metrics {
 	m.evals = reg.Counter("mroamd_solver_evals_total",
 		"Candidate plan evaluations across all solves.")
 	m.cache = reg.CounterVec("mroamd_gain_cache_events_total",
-		"Gain-cache outcomes: hit = evaluation avoided by a CELF bound, "+
-			"miss = candidate evaluated exactly, rescan = selection fell back to a full scan.",
+		"Greedy billboard-selection work: miss = candidate evaluated exactly, "+
+			"rescan = one selection (each a full scan), hit = always 0 (no selection skips a candidate).",
 		"event")
 	m.solveCache = reg.CounterVec("mroamd_solve_cache_events_total",
 		"Solve-result cache outcomes: hit = served from cache, miss = a new solve started, "+

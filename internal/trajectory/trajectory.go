@@ -106,23 +106,3 @@ func (db *DB) ComputeStats() Stats {
 	s.AvgTravelTime = sumTime / float64(s.Count)
 	return s
 }
-
-// AllPoints returns every point of every trajectory as one flat slice
-// together with a parallel slice mapping each point to its trajectory ID.
-// This is the layout consumed by the grid spatial index in package influence.
-func (db *DB) AllPoints() (points []geo.Point, owner []int32) {
-	total := 0
-	for i := range db.trajectories {
-		total += len(db.trajectories[i].Points)
-	}
-	points = make([]geo.Point, 0, total)
-	owner = make([]int32, 0, total)
-	for i := range db.trajectories {
-		t := &db.trajectories[i]
-		points = append(points, t.Points...)
-		for range t.Points {
-			owner = append(owner, t.ID)
-		}
-	}
-	return points, owner
-}

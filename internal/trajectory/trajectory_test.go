@@ -107,26 +107,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestAllPoints(t *testing.T) {
-	db, err := NewDB([]Trajectory{
-		twoPointTraj(0, 0, 1, 0, 5),
-		{Points: []geo.Point{{X: 9, Y: 9}}, Offsets: []float64{0}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, owner := db.AllPoints()
-	if len(pts) != 3 || len(owner) != 3 {
-		t.Fatalf("AllPoints lengths %d/%d", len(pts), len(owner))
-	}
-	if owner[0] != 0 || owner[1] != 0 || owner[2] != 1 {
-		t.Errorf("owner = %v", owner)
-	}
-	if pts[2] != (geo.Point{X: 9, Y: 9}) {
-		t.Errorf("pts[2] = %v", pts[2])
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	db, err := NewDB([]Trajectory{
 		twoPointTraj(1.25, 2.5, 100, 200.75, 90),
