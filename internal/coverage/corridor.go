@@ -59,8 +59,9 @@ func statsFor(raw, covered, corridors int) CompressionStats {
 // of identical coverage signature collapsed into single weighted corridor
 // IDs. A universe that is already compressed is returned unchanged.
 //
-// Corridor IDs are assigned in ascending order of each class's smallest raw
-// trajectory ID (see CorridorAssigner), so the result is deterministic.
+// Corridor IDs follow the lexicographic order of the corridors' signatures
+// (see CorridorAssigner), so the result is deterministic and corridors
+// covered by the same billboards get adjacent IDs.
 func Compress(u *Universe) (*Universe, CompressionStats) {
 	if u.weights != nil {
 		var covered int64
@@ -79,23 +80,26 @@ func Compress(u *Universe) (*Universe, CompressionStats) {
 }
 
 // A CorridorAssigner builds a corridor-compressed universe from coverage fed
-// in ascending trajectory order, one chunk at a time, so the uncompressed
-// lists of more than one chunk never exist at once. Each covered
-// trajectory's signature — its ascending billboard IDs — is hashed and
-// matched exactly against the signatures already seen, so a hash collision
-// costs a comparison and can never merge two classes. A new signature gets
-// the next corridor ID, which is appended to each of its billboards' lists;
-// a known one adds one to its corridor's weight. Corridor IDs therefore
-// ascend with each class's smallest trajectory, and every list is born
-// sorted.
+// one chunk of trajectories at a time, so the uncompressed lists of more
+// than one chunk never exist at once. Each covered trajectory's signature —
+// its ascending billboard IDs — is hashed and matched exactly against the
+// signatures already seen, so a hash collision costs a comparison and can
+// never merge two classes. A new signature is stored once; a known one adds
+// one to its class's weight.
+//
+// Universe numbers the classes in lexicographic order of their signatures.
+// Corridors covered by the same billboards then get adjacent IDs, so the
+// Counter kernels, which walk a billboard's corridors and the inverted
+// index behind them, read memory near-sequentially. The numbering depends
+// only on which signatures occur, never on trajectory order, and every
+// list comes out sorted.
 type CorridorAssigner struct {
-	lists   []List  // per-billboard corridor IDs
-	weights []int32 // raw trajectories per corridor; never nil
+	weights []int32 // raw trajectories per class, in first-seen order
 	rawHits []int   // per-billboard trajectories fed: the uncompressed Degree
 
-	// Known signatures back to back: corridor c's is
+	// Known signatures back to back, in first-seen order: class c's is
 	// arena[start[c]:start[c+1]]. heads maps a signature hash to the newest
-	// corridor with that hash, and next[c] to the previous one (-1 ends a
+	// class with that hash, and next[c] to the previous one (-1 ends a
 	// chain).
 	arena []int32
 	start []int
@@ -111,8 +115,6 @@ type CorridorAssigner struct {
 // billboards.
 func NewCorridorAssigner(numBillboards int) *CorridorAssigner {
 	return &CorridorAssigner{
-		lists:   make([]List, numBillboards),
-		weights: []int32{},
 		rawHits: make([]int, numBillboards),
 		start:   []int{0},
 		heads:   make(map[uint64]int32),
@@ -121,11 +123,11 @@ func NewCorridorAssigner(numBillboards int) *CorridorAssigner {
 
 // AddChunk feeds the next n trajectories. lists[b] holds the chunk-local IDs
 // in [0, n) of the trajectories billboard b covers, without duplicates;
-// there must be one list per billboard. Chunks must arrive in ascending
-// trajectory order. The lists are only read during the call.
+// there must be one list per billboard. Chunks may arrive in any order. The
+// lists are only read during the call.
 func (a *CorridorAssigner) AddChunk(lists []List, n int) {
-	if len(lists) != len(a.lists) {
-		panic(fmt.Sprintf("coverage: AddChunk with %d lists, assigner has %d billboards", len(lists), len(a.lists)))
+	if len(lists) != len(a.rawHits) {
+		panic(fmt.Sprintf("coverage: AddChunk with %d lists, assigner has %d billboards", len(lists), len(a.rawHits)))
 	}
 	// Invert the lists into one CSR signature table. Counting sort: ends[t]
 	// first counts t's hits, becomes the start of t's row after the prefix
@@ -171,7 +173,7 @@ func (a *CorridorAssigner) add(sig []int32, h uint64) {
 		head = -1
 	}
 	for c := head; c >= 0; c = a.next[c] {
-		if slices.Equal(a.arena[a.start[c]:a.start[c+1]], sig) {
+		if slices.Equal(a.signature(c), sig) {
 			a.weights[c]++
 			return
 		}
@@ -182,9 +184,11 @@ func (a *CorridorAssigner) add(sig []int32, h uint64) {
 	a.heads[h] = c
 	a.arena = append(a.arena, sig...)
 	a.start = append(a.start, len(a.arena))
-	for _, b := range sig {
-		a.lists[b] = append(a.lists[b], c)
-	}
+}
+
+// signature returns class c's billboards, in ascending order.
+func (a *CorridorAssigner) signature(c int32) []int32 {
+	return a.arena[a.start[c]:a.start[c+1]]
 }
 
 // Universe returns the compressed universe over numTrajectories raw
@@ -194,20 +198,41 @@ func (a *CorridorAssigner) add(sig []int32, h uint64) {
 // mismatch means the assignment is wrong — returning it would corrupt every
 // downstream solve.
 func (a *CorridorAssigner) Universe(numTrajectories int) (*Universe, CompressionStats, error) {
-	// The lists grew by appends interleaved across billboards; pack them
-	// back to back in billboard order, without the growth slack.
-	total := 0
-	for _, l := range a.lists {
-		total += len(l)
+	// order[id] is the class that becomes corridor id. Signatures are
+	// distinct, so the order is strict and needs no tie-break.
+	order := make([]int32, len(a.weights))
+	for c := range order {
+		order[c] = int32(c)
 	}
-	packed := make([]int32, 0, total)
-	lists := make([]List, len(a.lists))
-	for b, l := range a.lists {
-		start := len(packed)
-		packed = append(packed, l...)
-		lists[b] = packed[start:len(packed):len(packed)]
+	slices.SortFunc(order, func(x, y int32) int {
+		return slices.Compare(a.signature(x), a.signature(y))
+	})
+	// Pack the lists back to back in billboard order: offsets from each
+	// billboard's corridor count, then one scatter in corridor order, which
+	// leaves every list sorted.
+	pos := make([]int, len(a.rawHits)+1)
+	for _, b := range a.arena {
+		pos[b+1]++
 	}
-	u, err := NewWeightedUniverse(numTrajectories, lists, a.weights)
+	for b := range a.rawHits {
+		pos[b+1] += pos[b]
+	}
+	packed := make([]int32, len(a.arena))
+	lists := make([]List, len(a.rawHits))
+	for b := range lists {
+		lists[b] = packed[pos[b]:pos[b+1]:pos[b+1]]
+	}
+	weights := make([]int32, len(order))
+	covered := 0
+	for id, c := range order {
+		weights[id] = a.weights[c]
+		covered += int(a.weights[c])
+		for _, b := range a.signature(c) {
+			packed[pos[b]] = int32(id)
+			pos[b]++
+		}
+	}
+	u, err := NewWeightedUniverse(numTrajectories, lists, weights)
 	if err != nil {
 		return nil, CompressionStats{}, fmt.Errorf("corridor assignment produced an invalid universe: %w", err)
 	}
@@ -216,11 +241,7 @@ func (a *CorridorAssigner) Universe(numTrajectories int) (*Universe, Compression
 			return nil, CompressionStats{}, fmt.Errorf("corridor assignment changed Degree(%d): %d != %d raw hits", b, u.Degree(b), hits)
 		}
 	}
-	covered := 0
-	for _, w := range a.weights {
-		covered += int(w)
-	}
-	return u, statsFor(numTrajectories, covered, len(a.weights)), nil
+	return u, statsFor(numTrajectories, covered, len(weights)), nil
 }
 
 // hashSignature is FNV-1a over the signature, one billboard ID per step.

@@ -231,6 +231,7 @@ func TestNewWeightedUniverseValidation(t *testing.T) {
 // TestCorridorAssignerNeverMergesOnHashCollision feeds signatures that all
 // share one hash value: distinct signatures must still get distinct
 // corridors, and a repeat must find its own class behind the colliding ones.
+// Corridors are numbered in signature order: {0}→0, {0,1}→1, {1,2}→2.
 func TestCorridorAssignerNeverMergesOnHashCollision(t *testing.T) {
 	a := NewCorridorAssigner(3)
 	for _, sig := range [][]int32{{0}, {1, 2}, {0}, {0, 1}, {1, 2}, {1, 2}} {
@@ -244,12 +245,12 @@ func TestCorridorAssignerNeverMergesOnHashCollision(t *testing.T) {
 	if stats.Corridors != 3 || stats.Covered != 6 {
 		t.Fatalf("stats %+v, want 3 corridors over 6 covered", stats)
 	}
-	for id, want := range []int{2, 3, 1} {
+	for id, want := range []int{2, 1, 3} {
 		if got := u.Weight(int32(id)); got != want {
 			t.Errorf("Weight(%d) = %d, want %d", id, got, want)
 		}
 	}
-	for b, want := range []List{{0, 2}, {1, 2}, {1}} {
+	for b, want := range []List{{0, 1}, {1, 2}, {2}} {
 		if !slices.Equal(u.List(b), want) {
 			t.Errorf("List(%d) = %v, want %v", b, u.List(b), want)
 		}

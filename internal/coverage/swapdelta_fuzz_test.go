@@ -1,11 +1,6 @@
 package coverage
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // decodeSwapCase deterministically builds a universe, a counter state and a
 // swap (out, in) pair from fuzz bytes. Returns ok=false when the bytes
@@ -132,22 +127,5 @@ func swapDeltaSeeds() [][]byte {
 // UPDATE_FUZZ_CORPUS=1 it rewrites testdata/fuzz/FuzzSwapDeltaMerge;
 // otherwise it fails if the checked-in corpus went missing.
 func TestRegenerateFuzzSwapCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzSwapDeltaMerge")
-	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
-		entries, err := os.ReadDir(dir)
-		if err != nil || len(entries) == 0 {
-			t.Fatalf("fuzz seed corpus %s missing; regenerate with UPDATE_FUZZ_CORPUS=1 go test -run TestRegenerate", dir)
-		}
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range swapDeltaSeeds() {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkFuzzCorpus(t, "FuzzSwapDeltaMerge", swapDeltaSeeds())
 }

@@ -29,7 +29,7 @@ import (
 // of two cell-ordered grids (geo.Grid), so the join reads points and owners
 // sequentially. Peak memory is one chunk of trip-order points, two
 // cell-ordered chunk grids, one chunk of raw coverage and the corridor
-// lists; the uncompressed universe is never built. A 5000-trip NYC chunk is
+// signatures; the uncompressed universe is never built. A 5000-trip NYC chunk is
 // about 175k points, a 4 MB grid that stays near the cache; chunks from
 // 2500 to 25000 trips built paper-scale NYC in the same time, and peak
 // memory grows with the chunk.
@@ -38,7 +38,7 @@ import (
 // for the same Config and λ: the fixed infrastructure (grid/billboards,
 // routes/ridership) comes from the same named RNG substreams, trips are
 // drawn from one sequential "trips" substream exactly as Generate draws
-// them, and chunks reach the assigner in ascending trajectory order, so
+// them, and the assigner numbers corridors by signature alone, so
 // corridors get the IDs Compress assigns. Equivalence is enforced by
 // TestStreamedBuildMatchesMaterialized.
 
