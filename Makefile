@@ -31,6 +31,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSwapDeltaMerge$$' -fuzztime 10s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz '^FuzzCorridorAssigner$$' -fuzztime 10s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpecs$$' -fuzztime 10s ./internal/catalog
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecValidate$$' -fuzztime 10s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzPatchOps$$' -fuzztime 10s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseServerTiming$$' -fuzztime 10s ./internal/obs
@@ -180,9 +181,11 @@ trace-smoke:
 # require the responses to echo the model kind; validate the same zonal
 # build's plans against the per-zone caps through `mroam plan` (whose
 # Plan.Validate consults the zonal model — the fixture cap 10 demonstrably
-# binds, see TestBuildZonal); and replay the unnamed base solve against the
-# pre-refactor golden, which must match byte-for-byte (latency aside) —
-# proof the model seam left base output untouched.
+# binds, see TestBuildZonal); require the daemon's log to show the zonal
+# entry reusing the base entry's universe (universe=shared:base) rather than
+# rebuilding it; and replay the unnamed base solve against the pre-refactor
+# golden, which must match byte-for-byte (latency aside) — proof the model
+# seam left base output untouched.
 VARIANT_SMOKE_ADDR ?= 127.0.0.1:18371
 variant-smoke:
 	@$(GO) build -o /tmp/mroamd-variant ./cmd/mroamd
@@ -205,6 +208,8 @@ variant-smoke:
 		sleep 0.2; \
 	done; \
 	[ $$up -eq 1 ] || { echo "variant-smoke: daemon never came up"; cat /tmp/mroamd-variant.log; exit 1; }; \
+	grep -q '"instance":"zonal".*"universe":"shared:base"' /tmp/mroamd-variant.log \
+		|| { echo "variant-smoke: zonal entry did not share the base entry's universe"; cat /tmp/mroamd-variant.log; exit 1; }; \
 	curl -s -d '{"instance":"zonal","algorithm":"BLS","restarts":2,"seed":7}' \
 		http://$(VARIANT_SMOKE_ADDR)/solve | grep -q '"model": "zonal"' \
 		|| { echo "variant-smoke: BLS response missing zonal model echo"; exit 1; }; \
@@ -216,7 +221,7 @@ variant-smoke:
 	cmp -s /tmp/mroam-variant-base.json testdata/variant-base-solve.golden \
 		|| { echo "variant-smoke: base solve drifted from pre-refactor golden:"; \
 		     diff testdata/variant-base-solve.golden /tmp/mroam-variant-base.json; exit 1; }; \
-	echo "variant-smoke: OK (zonal caps hold, model echoed, base output byte-identical)"
+	echo "variant-smoke: OK (zonal caps hold, universe shared, model echoed, base output byte-identical)"
 
 # churn-smoke is the delta-solve gate in `check`: boot mroamd with the solve
 # cache on, establish an incumbent plan, PATCH the live market (remove one

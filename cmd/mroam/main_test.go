@@ -222,6 +222,22 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsNonFiniteFlags: flag.Float64 parses NaN and Inf; the
+// spec check must turn them into an error, not a crash or a degenerate
+// instance.
+func TestSolveRejectsNonFiniteFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"solve", "-scale", "0.01", "-lambda", "NaN"},
+		{"solve", "-scale", "Inf"},
+		{"plan", "-scale", "0.01", "-alpha", "NaN"},
+	} {
+		err := run(args, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%v: %v, want a finiteness error", args, err)
+		}
+	}
+}
+
 func TestExpSingleFigure(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	out := runCLI(t, "exp", "-fig", "4", "-scale", "0.02", "-restarts", "1", "-csv", csv)

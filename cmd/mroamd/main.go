@@ -328,5 +328,6 @@ func logInstance(logger *slog.Logger, e *catalog.Entry) {
 		"billboards", e.Info.Billboards,
 		"advertisers", e.Info.Advertisers,
 		"params", e.Spec.Describe(),
+		"universe", e.UniverseOrigin(),
 		"build_ms", e.Info.BuildMS)
 }

@@ -23,6 +23,11 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-city", "Atlantis"}, &buf, nil); err == nil {
 		t.Error("unknown city accepted")
 	}
+	// flag.Float64 parses NaN; it must be refused before it reaches the
+	// coverage join, where it used to crash the process.
+	if err := run([]string{"-scale", "0.01", "-lambda", "NaN"}, &buf, nil); err == nil || !strings.Contains(err.Error(), "finite") {
+		t.Errorf("-lambda NaN: %v, want a finiteness error", err)
+	}
 	if err := run([]string{"-data", "/nonexistent/dataset"}, &buf, nil); err == nil {
 		t.Error("missing dataset directory accepted")
 	}

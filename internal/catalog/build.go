@@ -41,11 +41,14 @@ type BuildInfo struct {
 }
 
 // BuildDataset loads (Spec.Data) or generates (Spec.City at Spec.Scale) the
-// dataset a Spec names. This is the repository's single call site of
-// dataset.Load/dataset.Generate outside tests; every CLI subcommand and the
-// daemon route through it. Paper-scale ("scale" tier) instances cannot be
-// materialized as a Dataset — Build streams them straight into a coverage
-// universe — so commands that need raw trajectories reject that tier here.
+// dataset a Spec names, trajectories and all. This is the repository's
+// single call site of dataset.Load/dataset.Generate outside tests: the
+// callers that need raw trajectories (mroam gen and sim, the experiment
+// harness) route through it, and Build uses it for Data directories only.
+// Build never materializes a generated dataset: it streams every generated
+// spec, on either tier, straight into a corridor-compressed universe.
+// Paper-scale ("scale" tier) datasets are too large to materialize at all,
+// so this rejects that tier.
 func BuildDataset(s Spec) (*dataset.Dataset, error) {
 	if s.Tier == TierScale {
 		return nil, fmt.Errorf("catalog: tier %q datasets are streamed, not materialized; only Build can construct them", TierScale)
@@ -102,70 +105,89 @@ func Market(u *coverage.Universe, cfg market.Config, gamma float64, r *rng.RNG) 
 	return market.NewInstance(u, cfg, gamma, r)
 }
 
-// Build runs the full pipeline for one Spec: dataset (generate, load, or —
-// on the "scale" tier — streamed) → coverage universe at λ → corridor
-// compression → advertiser market at (α, p, γ). The returned instance is
-// immutable and safe for any number of concurrent solves; equal Specs build
-// instances on which the solvers return bit-identical plans.
-//
-// Every instance is served on the corridor-compressed substrate. This is
-// invisible to callers — all influence quantities are expressed in raw
-// trajectories, and compression preserves them exactly (see
-// coverage.Compress) — but per-advertiser state shrinks from |T| to the
-// corridor count, which is what makes paper-scale instances solvable
-// in memory.
-func Build(s Spec) (*core.Instance, BuildInfo, error) {
-	start := time.Now()
-	s = s.Normalized()
-	if err := s.Validate(); err != nil {
-		return nil, BuildInfo{}, err
-	}
+// source is the dataset half of a build: everything that depends only on
+// the dataset and λ — the corridor-compressed universe, the billboard
+// inventory with its costs, and the dimensions BuildInfo reports of them.
+// It is immutable once built, so any number of instances can share one;
+// Catalog.Load reuses a live entry's source when the keys match.
+type source struct {
+	// key identifies a generated source; it is nil for a Data directory,
+	// which can change on disk between loads and so is never shared.
+	key      *sourceKey
+	universe *coverage.Universe
+	bills    *billboard.DB
+	city     string
+	stats    coverage.CompressionStats
+}
 
-	var u *coverage.Universe
-	var bills *billboard.DB
-	var city string
-	if s.Tier == TierScale {
-		cfg, err := datasetConfig(s)
-		if err != nil {
-			return nil, BuildInfo{}, err
-		}
-		streamed, err := dataset.GenerateUniverse(cfg, dataset.StreamOptions{Lambda: s.Lambda})
-		if err != nil {
-			return nil, BuildInfo{}, err
-		}
-		u, bills, city = streamed.Universe, streamed.Billboards, cfg.City.String()
-	} else {
+// sourceKey is what a generated source depends on: the resolved generator
+// configuration (so "nyc" and "NYC", or a default and an explicit scale,
+// meet) and the influence radius.
+type sourceKey struct {
+	cfg    dataset.Config
+	lambda float64
+}
+
+// buildSource runs the source stage for a normalized, valid Spec. Generated
+// specs, on either tier, stream through dataset.GenerateUniverse, which is
+// bit-identical to compressing the materialized Generate + BuildUniverse
+// pipeline (dataset.TestStreamedBuildMatchesMaterialized) at a fraction of
+// its peak memory. Data directories are loaded, joined and compressed.
+func buildSource(s Spec) (*source, error) {
+	if s.Data != "" {
 		d, err := BuildDataset(s)
 		if err != nil {
-			return nil, BuildInfo{}, err
+			return nil, err
 		}
-		du, err := d.BuildUniverse(s.Lambda)
+		raw, err := d.BuildUniverse(s.Lambda)
 		if err != nil {
-			return nil, BuildInfo{}, err
+			return nil, err
 		}
-		u, bills, city = du, d.Billboards, d.Config.City.String()
+		u, stats := coverage.Compress(raw)
+		return &source{universe: u, bills: d.Billboards, city: d.Config.City.String(), stats: stats}, nil
 	}
+	cfg, err := datasetConfig(s)
+	if err != nil {
+		return nil, err
+	}
+	streamed, err := dataset.GenerateUniverse(cfg, dataset.StreamOptions{Lambda: s.Lambda})
+	if err != nil {
+		return nil, err
+	}
+	u, stats := coverage.Compress(streamed.Universe) // already compressed: stats only
+	return &source{
+		key:      &sourceKey{cfg: cfg, lambda: s.Lambda},
+		universe: u,
+		bills:    streamed.Billboards,
+		city:     cfg.City.String(),
+		stats:    stats,
+	}, nil
+}
 
-	cu, stats := coverage.Compress(u)
-	inst, err := Market(cu, market.Config{Alpha: s.Alpha, P: s.P}, *s.Gamma,
+// buildInstance runs the instance stage on a source: the advertiser market
+// at (α, p, γ, seed), then the regret model. start is when the whole build
+// began, so BuildMS covers whatever part of the source stage ran for it.
+func buildInstance(s Spec, src *source, start time.Time) (*core.Instance, BuildInfo, error) {
+	u := src.universe
+	inst, err := Market(u, market.Config{Alpha: s.Alpha, P: s.P}, *s.Gamma,
 		rng.New(s.Seed).Derive("market"))
 	if err != nil {
 		return nil, BuildInfo{}, err
 	}
 	info := BuildInfo{
-		City:             city,
-		Trajectories:     cu.NumTrajectories(),
-		Billboards:       cu.NumBillboards(),
+		City:             src.city,
+		Trajectories:     u.NumTrajectories(),
+		Billboards:       u.NumBillboards(),
 		Advertisers:      inst.NumAdvertisers(),
-		Corridors:        stats.Corridors,
-		CompressionRatio: stats.Ratio,
+		Corridors:        src.stats.Corridors,
+		CompressionRatio: src.stats.Ratio,
 		Model:            core.ModelBase,
 	}
 	// Corridor compression rewrites trajectory IDs but never billboard
 	// IDs, so the billboard DB's geometry indexes the compressed universe
 	// directly — zones are derived from real billboard locations.
 	if s.ModelKind() == core.ModelZonal {
-		zoneOf, zones := ZonePartition(bills.Locations(), s.Model.ZoneMeters)
+		zoneOf, zones := ZonePartition(src.bills.Locations(), s.Model.ZoneMeters)
 		zm, err := core.NewZonalModel(zoneOf, s.Model.ZoneCap)
 		if err != nil {
 			return nil, BuildInfo{}, err
@@ -178,4 +200,33 @@ func Build(s Spec) (*core.Instance, BuildInfo, error) {
 	}
 	info.BuildMS = float64(time.Since(start).Microseconds()) / 1e3
 	return inst, info, nil
+}
+
+// Build runs the full pipeline for one Spec in two stages. The source
+// stage makes the corridor-compressed coverage universe at λ and the
+// billboard inventory: generated specs, on either tier, stream straight
+// from the generator into corridors (dataset.GenerateUniverse) and never
+// materialize a trajectory; Data directories are loaded, joined and
+// compressed. The instance stage generates the advertiser market at
+// (α, p, γ) and attaches the regret model. The returned instance is
+// immutable and safe for any number of concurrent solves; equal Specs
+// build instances on which the solvers return bit-identical plans.
+//
+// Every instance is served on the corridor-compressed substrate. This is
+// invisible to callers — all influence quantities are expressed in raw
+// trajectories, and compression preserves them exactly (see
+// coverage.Compress) — but per-advertiser state shrinks from |T| to the
+// corridor count, which is what makes paper-scale instances solvable
+// in memory.
+func Build(s Spec) (*core.Instance, BuildInfo, error) {
+	start := time.Now()
+	if err := s.Validate(); err != nil {
+		return nil, BuildInfo{}, err
+	}
+	s = s.Normalized()
+	src, err := buildSource(s)
+	if err != nil {
+		return nil, BuildInfo{}, err
+	}
+	return buildInstance(s, src, start)
 }

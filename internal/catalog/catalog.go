@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 )
@@ -41,6 +42,22 @@ type Entry struct {
 	Info BuildInfo
 	// Instance is the immutable problem instance.
 	Instance *core.Instance
+
+	// source is the dataset half of the build, shared by every entry
+	// built on the same generated dataset and λ; nil for AddInstance.
+	// sharedFrom names the live entry Load took it from, or is empty when
+	// Load built it.
+	source     *source
+	sharedFrom string
+}
+
+// UniverseOrigin reports how Load obtained the entry's universe: "built",
+// or "shared:<name>" when it reused the source of the live entry <name>.
+func (e *Entry) UniverseOrigin() string {
+	if e.sharedFrom == "" {
+		return "built"
+	}
+	return "shared:" + e.sharedFrom
 }
 
 // snapshot is the immutable state the readers see: one atomic pointer swap
@@ -103,19 +120,60 @@ func (c *Catalog) installLocked(e *Entry) {
 // previous entry atomically. The build runs outside the catalog lock, so
 // concurrent solves (and even concurrent loads of other names) proceed
 // undisturbed; on build error the catalog is unchanged.
+//
+// A generated spec whose dataset and λ match a live entry's (the resolved
+// generator configuration, so "nyc" and "NYC" match) reuses that entry's
+// universe and billboard inventory and runs only the instance stage —
+// market and model — which takes well under a millisecond. A PUT that
+// changes only the market or the model of a live dataset is therefore
+// cheap. Data specs always build: their directory can change between
+// loads.
 func (c *Catalog) Load(name string, spec Spec) (*Entry, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
-	spec = spec.Normalized()
+	start := time.Now()
 	spec.Name = name
-	inst, info, err := Build(spec)
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("catalog: load %q: %w", name, err)
+	}
+	spec = spec.Normalized()
+	src, from := c.liveSource(spec)
+	if src == nil {
+		var err error
+		if src, err = buildSource(spec); err != nil {
+			return nil, fmt.Errorf("catalog: load %q: %w", name, err)
+		}
+	}
+	inst, info, err := buildInstance(spec, src, start)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: load %q: %w", name, err)
 	}
-	e := &Entry{Name: name, Spec: spec, Info: info, Instance: inst}
+	e := &Entry{Name: name, Spec: spec, Info: info, Instance: inst, source: src, sharedFrom: from}
 	c.install(e)
 	return e, nil
+}
+
+// liveSource returns a live entry's source that the normalized spec can
+// share, with that entry's name — the first by name when several qualify,
+// so the choice does not depend on map order — or nil when none can.
+func (c *Catalog) liveSource(spec Spec) (*source, string) {
+	if spec.Data != "" {
+		return nil, "" // a directory can change between loads
+	}
+	cfg, err := datasetConfig(spec)
+	if err != nil {
+		return nil, ""
+	}
+	key := sourceKey{cfg: cfg, lambda: spec.Lambda}
+	var src *source
+	var from string
+	for name, e := range c.snap.Load().entries {
+		if e.source != nil && e.source.key != nil && *e.source.key == key && (src == nil || name < from) {
+			src, from = e.source, name
+		}
+	}
+	return src, from
 }
 
 // AddInstance installs an already-built instance under name — the path for

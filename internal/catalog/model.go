@@ -94,6 +94,9 @@ func validateModel(m *ModelSpec) error {
 		if m.ZoneCap < 1 {
 			return fmt.Errorf("catalog: zonal model requires zone_cap >= 1, got %d", m.ZoneCap)
 		}
+		if err := finite("zone_meters", m.ZoneMeters); err != nil {
+			return err
+		}
 		if m.ZoneMeters <= 0 {
 			return fmt.Errorf("catalog: zonal zone_meters %v must be positive", m.ZoneMeters)
 		}

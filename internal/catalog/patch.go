@@ -148,7 +148,8 @@ func (c *Catalog) Patch(name string, ops []PatchOp) (*Entry, PatchResult, error)
 		return nil, PatchResult{}, fmt.Errorf("catalog: patch %q: %w", name, err)
 	}
 
-	e := &Entry{Name: old.Name, Spec: old.Spec, Info: old.Info, Instance: inst}
+	e := &Entry{Name: old.Name, Spec: old.Spec, Info: old.Info, Instance: inst,
+		source: old.source, sharedFrom: old.sharedFrom}
 	e.Info.Advertisers = len(advs)
 	c.installLocked(e)
 	return e, res, nil

@@ -11,14 +11,21 @@
 //
 //	Spec                 what to build (city, scale, seed, λ, α, p, γ, or
 //	                     a saved dataset directory)
-//	Build(Spec)          the one dataset.Generate/Load → BuildUniverse →
-//	                     market.NewInstance pipeline in the repository
+//	Build(Spec)          the one spec → instance pipeline in the
+//	                     repository: a source stage (streamed
+//	                     GenerateUniverse, or Load → BuildUniverse →
+//	                     Compress for a data directory), then an
+//	                     instance stage (market, regret model)
 //	Catalog              name → immutable Entry snapshots, lock-free reads,
-//	                     atomic replace with a monotone generation counter
+//	                     atomic replace with a monotone generation counter;
+//	                     Load shares one source among entries on the same
+//	                     generated dataset and λ
 package catalog
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"regexp"
 	"strings"
 
@@ -58,13 +65,14 @@ type Spec struct {
 	// DefaultScale ("" tier) or 1.0 ("scale" tier).
 	Scale float64 `json:"scale,omitempty"`
 	// Tier selects the dataset size class. Empty is the default tier:
-	// materialized generation at DefaultScale of the ~40-55k-trajectory
-	// synthetic defaults. TierScale selects the paper-scale configuration
-	// (Table 5: |T| = 1.7M NYC / 2.2M SG) built with streaming generation —
+	// DefaultScale of the ~40-55k-trajectory synthetic defaults, small
+	// enough that BuildDataset can materialize it for `mroam gen`.
+	// TierScale selects the paper-scale configuration (Table 5: |T| = 1.7M
+	// NYC / 2.2M SG), which only streaming generation can build — its
 	// trajectories are never materialized, so Data cannot be combined with
 	// it and `mroam gen` cannot save it. Scale then multiplies the
 	// trajectory count only; the billboard inventory stays at the paper's
-	// (1462 NYC / 4092 SG).
+	// (1462 NYC / 4092 SG). Build streams both tiers.
 	Tier string `json:"tier,omitempty"`
 	// Seed drives dataset generation, market generation and (by CLI
 	// convention) the solvers. Zero is a valid seed and is kept.
@@ -148,6 +156,17 @@ func ValidateName(name string) error {
 // instance. It checks everything checkable without touching the filesystem;
 // Data directories are only validated by Build actually loading them.
 func (s Spec) Validate() error {
+	// flag.Float64 parses "NaN" and "Inf" (JSON cannot carry them), and no
+	// range check below rejects NaN, so finiteness is checked first, on
+	// the fields as given: normalization would turn -Inf into a default.
+	gamma := 0.0
+	if s.Gamma != nil {
+		gamma = *s.Gamma
+	}
+	if err := errors.Join(finite("scale", s.Scale), finite("alpha", s.Alpha),
+		finite("p", s.P), finite("gamma", gamma), finite("lambda", s.Lambda)); err != nil {
+		return err
+	}
 	s = s.Normalized()
 	if s.Name != "" {
 		if err := ValidateName(s.Name); err != nil {
@@ -185,4 +204,12 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("catalog: lambda %v must be positive", s.Lambda)
 	}
 	return validateModel(s.Model)
+}
+
+// finite reports a NaN or infinite float knob.
+func finite(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("catalog: %s %v must be finite", name, v)
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -77,21 +78,107 @@ func FuzzReadSpecs(f *testing.F) {
 	})
 }
 
+// validateSeed is one FuzzSpecValidate argument row.
+type validateSeed struct {
+	scale, alpha, p, gamma, lambda, zoneMeters float64
+	zonal                                      bool
+}
+
+// fuzzValidateSeeds returns the FuzzSpecValidate seed corpus: the
+// defaults, valid explicit knobs, and the NaN/±Inf values flag.Float64
+// parses but JSON cannot carry, in every field.
+func fuzzValidateSeeds() []validateSeed {
+	nan, inf := math.NaN(), math.Inf(1)
+	return []validateSeed{
+		{0, 0, 0, 0, 0, 0, false},
+		{0.25, 1, 0.05, 0.5, 100, 0, false},
+		{0.02, 2, 0.1, 0, 50, 500, true},
+		{0.01, 2, 0.1, 0.5, nan, 0, false},
+		{0.01, nan, 0.1, 0.5, 100, 0, false},
+		{0.01, 2, nan, 0.5, 100, 0, false},
+		{0.01, 2, 0.1, nan, 100, 0, false},
+		{0.01, 2, 0.1, inf, 100, 0, false},
+		{0.01, 2, 0.1, 0.5, inf, 0, false},
+		{inf, 2, 0.1, 0.5, 100, 0, false},
+		{-inf, 2, 0.1, 0.5, 100, 0, false},
+		{nan, 2, 0.1, 0.5, 100, 0, false},
+		{0.01, -inf, 0.1, 0.5, 100, 0, false},
+		{0.01, 2, 0.1, 0.5, 100, nan, true},
+		{0.01, 2, 0.1, 0.5, 100, inf, true},
+		{0.01, 2, 2, -1, -10, -1, true},
+	}
+}
+
+// FuzzSpecValidate asserts Validate's contract over Spec's float knobs,
+// including the non-finite values FuzzReadSpecs cannot reach through JSON:
+// a spec Validate accepts has every knob finite, and its normalized form
+// has every knob in range.
+func FuzzSpecValidate(f *testing.F) {
+	for _, v := range fuzzValidateSeeds() {
+		f.Add(v.scale, v.alpha, v.p, v.gamma, v.lambda, v.zoneMeters, v.zonal)
+	}
+	f.Fuzz(func(t *testing.T, scale, alpha, p, gamma, lambda, zoneMeters float64, zonal bool) {
+		s := Spec{Scale: scale, Alpha: alpha, P: p, Gamma: &gamma, Lambda: lambda}
+		if zonal {
+			s.Model = &ModelSpec{Kind: "zonal", ZoneCap: 10, ZoneMeters: zoneMeters}
+		}
+		if s.Validate() != nil {
+			return
+		}
+		knobs := []float64{scale, alpha, p, gamma, lambda}
+		if zonal {
+			knobs = append(knobs, zoneMeters)
+		}
+		for _, v := range knobs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("Validate accepted non-finite knob in %+v (gamma %v, zone_meters %v)", s, gamma, zoneMeters)
+			}
+		}
+		n := s.Normalized()
+		if !(n.Scale > 0) || !(n.Alpha > 0) || !(n.P > 0 && n.P <= 1) || !(*n.Gamma >= 0) || !(n.Lambda > 0) ||
+			(zonal && !(n.Model.ZoneMeters > 0)) {
+			t.Fatalf("Validate accepted out-of-range knobs: %+v (gamma %v)", n, *n.Gamma)
+		}
+	})
+}
+
 // TestRegenerateFuzzSpecsCorpus mirrors core's corpus regeneration: with
 // UPDATE_FUZZ_CORPUS=1 it rewrites testdata/fuzz/FuzzReadSpecs; otherwise
 // it fails if the checked-in corpus went missing.
 func TestRegenerateFuzzSpecsCorpus(t *testing.T) {
-	regenerateCorpus(t, "FuzzReadSpecs", fuzzSpecSeeds(t))
+	regenerateCorpus(t, "FuzzReadSpecs", byteSeeds(fuzzSpecSeeds(t)))
 }
 
 // TestRegenerateFuzzPatchCorpus does the same for testdata/fuzz/FuzzPatchOps.
 func TestRegenerateFuzzPatchCorpus(t *testing.T) {
-	regenerateCorpus(t, "FuzzPatchOps", fuzzPatchSeeds())
+	regenerateCorpus(t, "FuzzPatchOps", byteSeeds(fuzzPatchSeeds()))
+}
+
+// TestRegenerateFuzzValidateCorpus does the same for
+// testdata/fuzz/FuzzSpecValidate.
+func TestRegenerateFuzzValidateCorpus(t *testing.T) {
+	var rows [][]any
+	for _, v := range fuzzValidateSeeds() {
+		rows = append(rows, []any{v.scale, v.alpha, v.p, v.gamma, v.lambda, v.zoneMeters, v.zonal})
+	}
+	regenerateCorpus(t, "FuzzSpecValidate", rows)
+}
+
+// byteSeeds wraps single-[]byte seeds as corpus rows.
+func byteSeeds(seeds [][]byte) [][]any {
+	rows := make([][]any, len(seeds))
+	for i, s := range seeds {
+		rows[i] = []any{s}
+	}
+	return rows
 }
 
 // regenerateCorpus rewrites testdata/fuzz/<target> from seeds when
 // UPDATE_FUZZ_CORPUS is set, and otherwise fails if that corpus is missing.
-func regenerateCorpus(t *testing.T, target string, seeds [][]byte) {
+// Each seed is one row of fuzz arguments, written in the go test fuzz v1
+// encoding ([]byte as a quoted literal, anything else as T(value), which
+// spells NaN and ±Inf the way the fuzz engine parses them).
+func regenerateCorpus(t *testing.T, target string, seeds [][]any) {
 	dir := filepath.Join("testdata", "fuzz", target)
 	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
 		entries, err := os.ReadDir(dir)
@@ -104,7 +191,14 @@ func regenerateCorpus(t *testing.T, target string, seeds [][]byte) {
 		t.Fatal(err)
 	}
 	for i, seed := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+		body := "go test fuzz v1\n"
+		for _, v := range seed {
+			if b, ok := v.([]byte); ok {
+				body += fmt.Sprintf("[]byte(%q)\n", b)
+			} else {
+				body += fmt.Sprintf("%T(%v)\n", v, v)
+			}
+		}
 		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)

@@ -1,10 +1,13 @@
 package catalog
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -106,5 +109,38 @@ func TestDescribe(t *testing.T) {
 	got := Spec{}.Describe()
 	if got != "α=100%, p=5%, γ=0.50, λ=100m" {
 		t.Errorf("Describe() = %q", got)
+	}
+}
+
+// TestValidateRejectsNonFinite: flag.Float64 parses "NaN" and "Inf", and
+// no range check rejects NaN, so every float knob must be checked for
+// finiteness explicitly. Unchecked, a NaN λ crashed a coverage worker, a
+// NaN α or p built a one-advertiser market and an infinite λ a
+// one-corridor universe.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	zonal := func(m float64) *ModelSpec { return &ModelSpec{Kind: "zonal", ZoneCap: 10, ZoneMeters: m} }
+	for _, v := range []float64{nan, inf, -inf} {
+		cases := []struct {
+			knob string
+			spec Spec
+		}{
+			{"scale", Spec{Scale: v}},
+			{"alpha", Spec{Alpha: v}},
+			{"p", Spec{P: v}},
+			{"gamma", Spec{Gamma: GammaPtr(v)}},
+			{"lambda", Spec{Lambda: v}},
+			{"zone_meters", Spec{Model: zonal(v)}},
+		}
+		for _, c := range cases {
+			c.spec.Scale = cmp.Or(c.spec.Scale, 0.01)
+			err := c.spec.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.knob+" ") || !strings.Contains(err.Error(), "finite") {
+				t.Errorf("%s=%v: Validate = %v, want a finiteness error naming %s", c.knob, v, err, c.knob)
+			}
+			if _, _, err := Build(c.spec); err == nil {
+				t.Errorf("%s=%v: Build accepted", c.knob, v)
+			}
+		}
 	}
 }

@@ -26,62 +26,47 @@ import (
 // cover one trip per chunk, an odd size that puts chunk boundaries
 // mid-stream, and a single chunk larger than |T|; each runs on one, two and
 // three join workers, so the universe must not depend on the worker count.
+// Every generated catalog.Build streams, so the equivalence is checked at
+// radii from one that leaves NYC's universe empty (5 m) to twice the
+// default.
 func TestStreamedBuildMatchesMaterialized(t *testing.T) {
-	const lambda = 100
+	lambdas := []float64{5, 50, 100, 200}
 	for _, cfg := range []Config{DefaultNYC(11).Scale(0.05), DefaultSG(12).Scale(0.05)} {
 		t.Run(cfg.City.String(), func(t *testing.T) {
 			d, err := Generate(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw, err := d.BuildUniverse(lambda)
-			if err != nil {
-				t.Fatal(err)
+			// BuildUniverse assigns costs from the degrees at its λ, so
+			// the inventory to match is snapshotted per radius.
+			type materialized struct {
+				u     *coverage.Universe
+				stats coverage.CompressionStats
+				bills []billboard.Billboard
 			}
-			want, wantStats := coverage.Compress(raw)
+			want := make([]materialized, len(lambdas))
+			for i, lambda := range lambdas {
+				raw, err := d.BuildUniverse(lambda)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i].u, want[i].stats = coverage.Compress(raw)
+				for b := 0; b < d.Billboards.Len(); b++ {
+					want[i].bills = append(want[i].bills, *d.Billboards.At(b))
+				}
+			}
 			for _, chunk := range []int{1, 257, cfg.Trajectories + 1} {
 				t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
 					for _, workers := range []int{1, 2, 3} {
 						t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-							got, err := GenerateUniverse(cfg, StreamOptions{Lambda: lambda, ChunkSize: chunk, Parallelism: workers})
-							if err != nil {
-								t.Fatal(err)
-							}
-							u := got.Universe
-							if _, stats := coverage.Compress(u); stats != wantStats {
-								t.Fatalf("compression stats %+v, want %+v", stats, wantStats)
-							}
-							if u.NumTrajectories() != want.NumTrajectories() || u.NumIDs() != want.NumIDs() ||
-								u.NumBillboards() != want.NumBillboards() {
-								t.Fatalf("dims %d/%d/%d, want %d/%d/%d", u.NumTrajectories(), u.NumIDs(), u.NumBillboards(),
-									want.NumTrajectories(), want.NumIDs(), want.NumBillboards())
-							}
-							for id := int32(0); int(id) < want.NumIDs(); id++ {
-								if u.Weight(id) != want.Weight(id) {
-									t.Fatalf("corridor %d weight %d, want %d", id, u.Weight(id), want.Weight(id))
+							for i, lambda := range lambdas {
+								got, err := GenerateUniverse(cfg, StreamOptions{Lambda: lambda, ChunkSize: chunk, Parallelism: workers})
+								if err != nil {
+									t.Fatal(err)
 								}
-							}
-							for b := 0; b < want.NumBillboards(); b++ {
-								if !slices.Equal(u.List(b), want.List(b)) || u.Degree(b) != want.Degree(b) {
-									t.Fatalf("billboard %d: %d corridors (degree %d) streamed, %d (degree %d) materialized",
-										b, len(u.List(b)), u.Degree(b), len(want.List(b)), want.Degree(b))
+								if err := sameBuild(got, d, want[i].u, want[i].stats, want[i].bills); err != nil {
+									t.Fatalf("λ=%v: %v", lambda, err)
 								}
-							}
-							if got.Billboards.Len() != d.Billboards.Len() {
-								t.Fatalf("billboard counts differ")
-							}
-							for b := 0; b < d.Billboards.Len(); b++ {
-								sb, mb := got.Billboards.At(b), d.Billboards.At(b)
-								if sb.Loc != mb.Loc || sb.Cost != mb.Cost {
-									t.Fatalf("billboard %d: streamed %+v/%d, materialized %+v/%d",
-										b, sb.Loc, sb.Cost, mb.Loc, mb.Cost)
-								}
-							}
-							if wantTraj := d.Trajectories.ComputeStats(); got.Stats != wantTraj {
-								t.Fatalf("trajectory stats %+v, want %+v", got.Stats, wantTraj)
-							}
-							if got.Table5() != d.Table5() {
-								t.Fatalf("Table5 %+v, want %+v", got.Table5(), d.Table5())
 							}
 						})
 					}
@@ -89,6 +74,47 @@ func TestStreamedBuildMatchesMaterialized(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sameBuild reports the first difference between a streamed build and the
+// materialized dataset d whose compressed universe at the same λ is want,
+// with compression statistics wantStats and billboard inventory bills.
+func sameBuild(got *Streamed, d *Dataset, want *coverage.Universe, wantStats coverage.CompressionStats, bills []billboard.Billboard) error {
+	u := got.Universe
+	if _, stats := coverage.Compress(u); stats != wantStats {
+		return fmt.Errorf("compression stats %+v, want %+v", stats, wantStats)
+	}
+	if u.NumTrajectories() != want.NumTrajectories() || u.NumIDs() != want.NumIDs() ||
+		u.NumBillboards() != want.NumBillboards() {
+		return fmt.Errorf("dims %d/%d/%d, want %d/%d/%d", u.NumTrajectories(), u.NumIDs(), u.NumBillboards(),
+			want.NumTrajectories(), want.NumIDs(), want.NumBillboards())
+	}
+	for id := int32(0); int(id) < want.NumIDs(); id++ {
+		if u.Weight(id) != want.Weight(id) {
+			return fmt.Errorf("corridor %d weight %d, want %d", id, u.Weight(id), want.Weight(id))
+		}
+	}
+	for b := 0; b < want.NumBillboards(); b++ {
+		if !slices.Equal(u.List(b), want.List(b)) || u.Degree(b) != want.Degree(b) {
+			return fmt.Errorf("billboard %d: %d corridors (degree %d) streamed, %d (degree %d) materialized",
+				b, len(u.List(b)), u.Degree(b), len(want.List(b)), want.Degree(b))
+		}
+	}
+	if got.Billboards.Len() != len(bills) {
+		return fmt.Errorf("billboard counts differ")
+	}
+	for b, mb := range bills {
+		if sb := got.Billboards.At(b); sb.Loc != mb.Loc || sb.Cost != mb.Cost {
+			return fmt.Errorf("billboard %d: streamed %+v/%d, materialized %+v/%d", b, sb.Loc, sb.Cost, mb.Loc, mb.Cost)
+		}
+	}
+	if wantTraj := d.Trajectories.ComputeStats(); got.Stats != wantTraj {
+		return fmt.Errorf("trajectory stats %+v, want %+v", got.Stats, wantTraj)
+	}
+	if got.Table5() != d.Table5() {
+		return fmt.Errorf("Table5 %+v, want %+v", got.Table5(), d.Table5())
+	}
+	return nil
 }
 
 // TestStreamingLeavesNoGoroutines checks that the generator and join

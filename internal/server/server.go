@@ -841,6 +841,7 @@ func (s *Server) handleInstancePut(w http.ResponseWriter, r *http.Request) {
 		"reload", existed,
 		"billboards", e.Info.Billboards,
 		"advertisers", e.Info.Advertisers,
+		"universe", e.UniverseOrigin(),
 		"build_ms", float64(time.Since(start).Microseconds())/1e3)
 	status := http.StatusCreated
 	if existed {
