@@ -28,6 +28,7 @@ test-race:
 # (go test accepts one -fuzz pattern per package invocation).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRoundTrip$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzFeasibilityFirstScans$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSwapDeltaMerge$$' -fuzztime 10s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz '^FuzzCorridorAssigner$$' -fuzztime 10s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpecs$$' -fuzztime 10s ./internal/catalog
@@ -280,14 +281,16 @@ bench:
 # bench-kernels reproduces the solver-kernel numbers recorded in CHANGES.md
 # and DESIGN.md §5: the coverage Counter's Gain (a table read), Add+Remove
 # (which keeps that table current) and SwapDelta, the from-scratch
-# UnionCount reference evaluator, G-Global's billboard selection (the full
-# scan, on a base and a zonal market), and G-Global on a generated,
-# corridor-compressed NYC universe, where corridor numbering sets the
-# kernels' memory access pattern.
+# UnionCount reference evaluator, G-Global's billboard selection (the scan
+# that skips remembered CanAssign rejections) and one BLS improvement
+# (CanSwap before SwapDelta), each on a base and a zonal market, and
+# G-Global on a generated, corridor-compressed NYC universe, where
+# corridor numbering sets the kernels' memory access pattern.
 bench-kernels:
 	$(GO) test -run '^$$' -bench '^(BenchmarkCounterGain|BenchmarkCounterAddRemove|BenchmarkSwapDelta|BenchmarkUnionCount)$$' \
 		-benchmem ./internal/coverage
-	$(GO) test -run '^$$' -bench '^(BenchmarkSynchronousGreedySelection|BenchmarkGGlobalNYC)$$' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^(BenchmarkSynchronousGreedySelection|BenchmarkBillboardLocalSearch|BenchmarkGGlobalNYC)$$' \
+		-benchmem ./internal/core
 
 # bench-build reproduces the build-layer numbers recorded in CHANGES.md and
 # DESIGN.md §12: filling the cell-ordered grid, one λ-radius query against

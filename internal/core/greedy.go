@@ -22,18 +22,20 @@ import (
 // rejects, so the greedy only ever selects feasible moves. Returns ok=false
 // if no eligible billboard exists.
 //
-// Every call scans all unassigned billboards: Gain is a table read
-// (coverage.Counter) and CanAssign reads the plan's group loads, so a
-// candidate costs O(1) (DESIGN.md §5 has the measurement).
-func bestBillboardFor(p *Plan, i int) (best int, ok bool) {
+// Every call scans the unassigned billboards, except those rej records as
+// rejected for i: Gain is a table read (coverage.Counter) and CanAssign
+// reads the plan's group loads, so a candidate costs O(1) (DESIGN.md §5 has
+// the measurement), and a remembered rejection costs one load.
+func bestBillboardFor(p *Plan, i int, rej rejections) (best int, ok bool) {
 	u := p.inst.Universe()
 	curRegret := p.Regret(i)
 	curInfl := p.Influence(i)
 	var bestKey1, bestKey2 float64
 	var candidates int64
+	marks := rej[i]
 	best = -1
 	for b, owner := range p.owner {
-		if owner != Unassigned {
+		if owner != Unassigned || (marks != nil && marks[b]) {
 			continue
 		}
 		deg := u.Degree(b)
@@ -41,6 +43,7 @@ func bestBillboardFor(p *Plan, i int) (best int, ok bool) {
 			continue
 		}
 		if !p.inst.model.CanAssign(p, i, b) {
+			rej.mark(i, b, len(p.owner))
 			continue
 		}
 		candidates++
@@ -57,6 +60,27 @@ func bestBillboardFor(p *Plan, i int) (best int, ok bool) {
 	return best, best != -1
 }
 
+// rejections remembers, per advertiser, the billboards the model's
+// CanAssign hook has rejected during one greedy run; a row stays nil until
+// its advertiser's first rejection, so a run under a model that never
+// rejects (the base market) allocates no row. Remembering is exact by the
+// Model contract: the hook depends only on S_i and the candidate, feasible
+// sets are downward closed, and within one run an active advertiser's S_i
+// only grows (G-Global's ReleaseAll retires the advertiser it empties), so
+// a rejection can never turn into an acceptance. Only rejections are
+// remembered: a billboard owned by another advertiser can return to the
+// pool through that advertiser's ReleaseAll and must be a candidate again.
+type rejections [][]bool
+
+// mark records b as rejected for i, allocating i's row of n billboards on
+// its first rejection.
+func (r rejections) mark(i, b, n int) {
+	if r[i] == nil {
+		r[i] = make([]bool, n)
+	}
+	r[i][b] = true
+}
+
 // CacheStats counts the greedy's billboard-selection work for one plan. It
 // keeps the hit/miss/rescan shape that Anytime.Cache, the tracers and the
 // mroamd_gain_cache_events_total metric report, so their consumers read the
@@ -68,7 +92,9 @@ type CacheStats struct {
 	// per selection call, the unassigned billboards with non-zero degree
 	// that the model's CanAssign hook accepts.
 	Misses int64
-	// Rescans counts bestBillboardFor calls, each a full scan.
+	// Rescans counts bestBillboardFor calls, each a scan of the unassigned
+	// billboards that skips the ones CanAssign already rejected for the
+	// advertiser in the same greedy run.
 	Rescans int64
 }
 
@@ -121,12 +147,13 @@ func GreedyOrderCtx(ctx context.Context, inst *Instance) (p *Plan, completed boo
 
 func greedyOrder(done <-chan struct{}, inst *Instance) (p *Plan, completed bool) {
 	p = NewPlan(inst)
+	rej := make(rejections, inst.NumAdvertisers())
 	for _, i := range byBudgetEffectiveness(inst) {
 		for !p.Satisfied(i) {
 			if cancelled(done) {
 				return p, false
 			}
-			b, ok := bestBillboardFor(p, i)
+			b, ok := bestBillboardFor(p, i, rej)
 			if !ok {
 				break
 			}
@@ -165,6 +192,7 @@ func synchronousGreedyDone(done <-chan struct{}, p *Plan) (completed bool) {
 	for i := range active {
 		active[i] = true
 	}
+	rej := make(rejections, len(active))
 	for {
 		assignedAny := false
 		exhausted := false
@@ -175,7 +203,7 @@ func synchronousGreedyDone(done <-chan struct{}, p *Plan) (completed bool) {
 			if cancelled(done) {
 				return false
 			}
-			b, ok := bestBillboardFor(p, i)
+			b, ok := bestBillboardFor(p, i, rej)
 			if !ok {
 				exhausted = true
 				continue

@@ -309,6 +309,7 @@ func TestGainCacheStatsMatchRecount(t *testing.T) {
 	for _, inst := range []*Instance{base, zonal} {
 		u := inst.Universe()
 		p := NewPlan(inst)
+		rej := make(rejections, inst.NumAdvertisers())
 		var recount, calls, rejected int64
 		for i := 0; i < inst.NumAdvertisers(); i++ {
 			for !p.Satisfied(i) {
@@ -322,7 +323,7 @@ func TestGainCacheStatsMatchRecount(t *testing.T) {
 						rejected++
 					}
 				}
-				b, ok := bestBillboardFor(p, i)
+				b, ok := bestBillboardFor(p, i, rej)
 				calls++
 				if !ok {
 					break

@@ -365,6 +365,11 @@ type blsScratch struct {
 // (first improvement) and applies it. Reports whether a move was accepted;
 // a cancellation mid-scan simply abandons the scan (the caller re-checks
 // done and unwinds).
+//
+// Both point moves ask the model's O(1) CanSwap hook before they pay for
+// the SwapDelta merges. An infeasible pair could never be accepted, so the
+// order of accepted moves is unchanged; its skipped evaluations are still
+// counted (two here, one for a replacement), so Evals is too.
 func tryExchangeMove(p *Plan, i, j int, opts LocalSearchOptions, s *blsScratch, done <-chan struct{}) bool {
 	inst := p.inst
 	s.si = p.Set(i, s.si[:0])
@@ -374,14 +379,15 @@ func tryExchangeMove(p *Plan, i, j int, opts LocalSearchOptions, s *blsScratch, 
 			return false
 		}
 		for _, bn := range s.sj {
+			if !inst.model.CanSwap(p, i, bm, bn) || !inst.model.CanSwap(p, j, bn, bm) {
+				p.AddEvals(2)
+				continue
+			}
 			cur := p.Regret(i) + p.Regret(j)
 			di := p.SwapDeltaOf(i, bm, bn)
 			dj := p.SwapDeltaOf(j, bn, bm)
 			next := inst.Regret(i, p.Influence(i)+di) + inst.Regret(j, p.Influence(j)+dj)
 			if next < cur-opts.threshold(p.TotalRegret()) {
-				if !inst.model.CanSwap(p, i, bm, bn) || !inst.model.CanSwap(p, j, bn, bm) {
-					continue
-				}
 				p.ExchangeBillboards(bm, bn)
 				return true
 			}
@@ -401,13 +407,14 @@ func tryReplaceMove(p *Plan, i int, opts LocalSearchOptions, s *blsScratch, done
 			return false
 		}
 		for _, bn := range s.free {
+			if !inst.model.CanSwap(p, i, bm, bn) {
+				p.AddEvals(1)
+				continue
+			}
 			cur := p.Regret(i)
 			di := p.SwapDeltaOf(i, bm, bn)
 			next := inst.Regret(i, p.Influence(i)+di)
 			if next < cur-opts.threshold(p.TotalRegret()) {
-				if !inst.model.CanSwap(p, i, bm, bn) {
-					continue
-				}
 				p.Replace(bm, bn)
 				return true
 			}

@@ -17,30 +17,33 @@ func benchProtoPlan(inst *Instance) *Plan {
 }
 
 // BenchmarkBillboardLocalSearch measures one full BLS improvement of a
-// seeded baseline. The allocation count is the headline: the sweep reuses
-// its member/free-list buffers and one scratch trial plan, so allocs/op
-// stays flat in the number of passes and moves.
+// seeded baseline, on the base market and on a zonal copy (billboards
+// round-robin into 8 zones capped at the maximum degree, as in
+// BenchmarkSynchronousGreedySelection), where CanSwap rejects swaps. The
+// allocation count is the headline: the sweep reuses its member/free-list
+// buffers and one scratch trial plan, so allocs/op stays flat in the
+// number of passes and moves.
 func BenchmarkBillboardLocalSearch(b *testing.B) {
 	inst := randomInstance(rng.New(9), 2000, 120, 60, 8, 1.2, 0.5)
-	proto := benchProtoPlan(inst)
-	scratch := proto.Clone()
 	opts := LocalSearchOptions{Search: BillboardDriven}.withDefaults()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scratch.CopyFrom(proto)
-		BillboardLocalSearch(scratch, opts)
+	for _, market := range []*Instance{inst, roundRobinZonal(b, inst)} {
+		b.Run(market.Model().Kind(), func(b *testing.B) {
+			proto := benchProtoPlan(market)
+			scratch := proto.Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scratch.CopyFrom(proto)
+				BillboardLocalSearch(scratch, opts)
+			}
+			b.ReportMetric(float64(scratch.Evals()-proto.Evals()), "evals")
+		})
 	}
 }
 
-// BenchmarkSynchronousGreedySelection measures G-Global's billboard
-// selection, reporting the marginal-evaluation count per run. The instance
-// is sized so selection dominates (600 high-degree billboards, 40
-// advertisers). The zonal market splits the billboards round-robin into 8
-// zones capped at the maximum degree, so every advertiser's demand exceeds
-// what the caps let it hold and every candidate's CanAssign check matters.
-func BenchmarkSynchronousGreedySelection(b *testing.B) {
-	inst := randomInstance(rng.New(9), 20000, 600, 400, 40, 1.2, 0.5)
+// roundRobinZonal attaches a ZonalModel to inst: billboards go round-robin
+// into 8 zones, each capped at the maximum degree.
+func roundRobinZonal(b *testing.B, inst *Instance) *Instance {
 	zoneOf := make([]int, inst.Universe().NumBillboards())
 	for bb := range zoneOf {
 		zoneOf[bb] = bb % 8
@@ -53,7 +56,18 @@ func BenchmarkSynchronousGreedySelection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, market := range []*Instance{inst, zinst} {
+	return zinst
+}
+
+// BenchmarkSynchronousGreedySelection measures G-Global's billboard
+// selection, reporting the marginal-evaluation count per run. The instance
+// is sized so selection dominates (600 high-degree billboards, 40
+// advertisers). The zonal market splits the billboards round-robin into 8
+// zones capped at the maximum degree, so every advertiser's demand exceeds
+// what the caps let it hold and every candidate's CanAssign check matters.
+func BenchmarkSynchronousGreedySelection(b *testing.B) {
+	inst := randomInstance(rng.New(9), 20000, 600, 400, 40, 1.2, 0.5)
+	for _, market := range []*Instance{inst, roundRobinZonal(b, inst)} {
 		b.Run(market.Model().Kind(), func(b *testing.B) {
 			var evals int64
 			b.ReportAllocs()

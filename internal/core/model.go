@@ -49,6 +49,14 @@ type Assignment interface {
 // add/swap/exchange moves. Implementations must be stateless with respect to
 // any particular plan (the same Model value serves concurrent restarts) and
 // every method must be deterministic.
+//
+// The solvers rely on two more properties of the hooks. CanAssign(p, i, b)
+// and CanSwap(p, i, out, repl) depend only on S_i and the billboards named,
+// never on other advertisers' sets or on who owns the candidate. And
+// feasible sets are downward closed: a subset of a feasible set is
+// feasible, so a billboard CanAssign rejects for S_i stays rejected for
+// every superset of S_i. The greedy remembers each advertiser's rejections
+// for the rest of its run on the strength of these two properties.
 type Model interface {
 	// Kind is the wire name of the variant ("base", "zonal").
 	Kind() string
@@ -72,10 +80,13 @@ type Model interface {
 
 	// CanAssign reports whether giving unassigned billboard b to advertiser
 	// i keeps S_i feasible. Release moves need no hook: feasible sets are
-	// downward closed in every variant.
+	// downward closed in every variant. The answer depends only on S_i and
+	// b, and once false stays false while S_i only grows.
 	CanAssign(p Assignment, i, b int) bool
 	// CanSwap reports whether replacing billboard out ∈ S_i with billboard
-	// repl ∉ S_i keeps S_i feasible (BLS exchange/replace moves).
+	// repl ∉ S_i keeps S_i feasible (BLS exchange/replace moves). The
+	// answer depends only on S_i, out and repl; BLS asks it before it
+	// evaluates the swap's influence delta.
 	CanSwap(p Assignment, i, out, repl int) bool
 	// CanExchangeSets reports whether swapping the entire sets of
 	// advertisers i and j keeps both feasible (the ALS move).

@@ -149,16 +149,37 @@ func TestZonalFeasibilityHooks(t *testing.T) {
 	}
 }
 
-// TestModelFeasibilityDownwardClosed: the Model contract says feasible sets
-// are downward closed, so once CanAssign rejects billboard b for advertiser
-// i, b stays rejected however S_i grows. Release moves rely on it to need no
-// hook; checked for every shipped model on random plans, growing S_i by
-// arbitrary (even infeasible) assignments.
+// TestModelFeasibilityDownwardClosed: the Model contract says CanAssign and
+// CanSwap depend only on S_i and the billboards they name, and that
+// feasible sets are downward closed, so once CanAssign rejects billboard b
+// for advertiser i, b stays rejected however S_i grows. Release moves rely
+// on it to need no hook, and the greedy relies on it to remember
+// rejections. Checked for every shipped model on random plans: S_i grows by
+// arbitrary (even infeasible) assignments, while between re-checks other
+// advertisers gain billboards and are emptied by ReleaseAll — which must
+// change no answer for i at all.
 func TestModelFeasibilityDownwardClosed(t *testing.T) {
+	// answers lists every hook answer about i: CanAssign for each b ∉ S_i,
+	// then CanSwap for each (out ∈ S_i, repl ∉ S_i).
+	answers := func(p *Plan, i int) []bool {
+		m := p.Instance().Model()
+		var out []bool
+		set := p.Set(i, nil)
+		for b := 0; b < p.Instance().Universe().NumBillboards(); b++ {
+			if p.Owner(b) == i {
+				continue
+			}
+			out = append(out, m.CanAssign(p, i, b))
+			for _, bm := range set {
+				out = append(out, m.CanSwap(p, i, bm, b))
+			}
+		}
+		return out
+	}
 	for _, kind := range []string{ModelBase, ModelZonal} {
 		t.Run(kind, func(t *testing.T) {
 			r := rng.New(77)
-			checked := 0
+			checked, others := 0, 0
 			for trial := 0; trial < 200; trial++ {
 				var inst *Instance
 				if kind == ModelZonal {
@@ -167,8 +188,9 @@ func TestModelFeasibilityDownwardClosed(t *testing.T) {
 					inst = drawInstance(r)
 				}
 				m := inst.Model()
+				n := inst.NumAdvertisers()
 				p := randomPlan(r, inst)
-				i := r.Intn(inst.NumAdvertisers())
+				i := r.Intn(n)
 				var rejected []int
 				for b := 0; b < inst.Universe().NumBillboards(); b++ {
 					if p.Owner(b) == Unassigned && !m.CanAssign(p, i, b) {
@@ -176,6 +198,21 @@ func TestModelFeasibilityDownwardClosed(t *testing.T) {
 					}
 				}
 				for _, add := range r.Perm(inst.Universe().NumBillboards()) {
+					// Other advertisers move first: j gains add or is
+					// emptied, and i's answers must not change.
+					if j := r.Intn(n); j != i {
+						before := answers(p, i)
+						if p.Owner(add) == Unassigned && r.Intn(2) == 0 {
+							p.Assign(add, j)
+						} else {
+							p.ReleaseAll(j)
+						}
+						others++
+						if !slices.Equal(answers(p, i), before) {
+							t.Fatalf("trial %d adv %d: hook answers changed when advertiser %d's set changed",
+								trial, i, j)
+						}
+					}
 					if p.Owner(add) != Unassigned {
 						continue
 					}
@@ -195,7 +232,7 @@ func TestModelFeasibilityDownwardClosed(t *testing.T) {
 			if kind == ModelZonal && checked == 0 {
 				t.Fatal("no CanAssign rejection was ever re-checked; the caps never bound")
 			}
-			t.Logf("%d re-checks of rejected billboards", checked)
+			t.Logf("%d re-checks of rejected billboards, %d moves of other advertisers", checked, others)
 		})
 	}
 }

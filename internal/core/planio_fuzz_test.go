@@ -88,18 +88,20 @@ func FuzzPlanRoundTrip(f *testing.F) {
 // with UPDATE_FUZZ_CORPUS=1; otherwise it verifies the files exist so a
 // deleted corpus is caught before the fuzz targets silently run seedless.
 func TestRegenerateFuzzPlanCorpus(t *testing.T) {
-	var seeds [][]byte
+	var seeds [][]any
 	for _, s := range fuzzPlanSeeds(t) {
 		if len(s) > 0 { // the corpus encoder round-trips nil to ""; skip the empty seed
-			seeds = append(seeds, s)
+			seeds = append(seeds, []any{s})
 		}
 	}
 	writeFuzzCorpus(t, filepath.Join("testdata", "fuzz", "FuzzPlanRoundTrip"), seeds)
 }
 
 // writeFuzzCorpus writes one "go test fuzz v1" file per seed under dir (when
-// UPDATE_FUZZ_CORPUS=1) or asserts the directory is non-empty.
-func writeFuzzCorpus(t *testing.T, dir string, seeds [][]byte) {
+// UPDATE_FUZZ_CORPUS=1) or asserts the directory is non-empty. Each seed is
+// one row of fuzz arguments: a []byte as a quoted literal, anything else as
+// T(value).
+func writeFuzzCorpus(t *testing.T, dir string, seeds [][]any) {
 	t.Helper()
 	if os.Getenv("UPDATE_FUZZ_CORPUS") == "" {
 		entries, err := os.ReadDir(dir)
@@ -112,7 +114,14 @@ func writeFuzzCorpus(t *testing.T, dir string, seeds [][]byte) {
 		t.Fatal(err)
 	}
 	for i, seed := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+		body := "go test fuzz v1\n"
+		for _, v := range seed {
+			if b, ok := v.([]byte); ok {
+				body += fmt.Sprintf("[]byte(%q)\n", b)
+			} else {
+				body += fmt.Sprintf("%T(%v)\n", v, v)
+			}
+		}
 		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)

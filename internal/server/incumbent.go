@@ -129,9 +129,10 @@ type patchRequest struct {
 // atomic generation bump. Unknown advertiser indexes answer 409 — the
 // caller's view of the market is stale and it should re-read before
 // retrying — and an unknown name 404. On success the cache entries for the
-// name are dropped eagerly (the new generation could never hit them anyway)
-// and the stored incumbents are remapped so a warm-started solve can pick
-// up right where the patched market's predecessor left off.
+// replaced generations are dropped (requests still holding one re-resolve,
+// as after a reload) and the stored incumbents are remapped so a
+// warm-started solve can pick up right where the patched market's
+// predecessor left off.
 func (s *Server) handleInstancePatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req patchRequest
@@ -155,7 +156,7 @@ func (s *Server) handleInstancePatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.patches.Inc()
 	if s.cache != nil {
-		s.cache.InvalidateInstance(e.Name)
+		s.cache.InvalidateInstance(e.Name, e.Generation)
 	}
 	s.patchIncumbents(e.Name, e.Generation, pr)
 	s.log.Info("instance patched",

@@ -100,7 +100,8 @@ func newMetrics(cat *catalog.Catalog) *metrics {
 		"Candidate plan evaluations across all solves.")
 	m.cache = reg.CounterVec("mroamd_gain_cache_events_total",
 		"Greedy billboard-selection work: miss = candidate evaluated exactly, "+
-			"rescan = one selection (each a full scan), hit = always 0 (no selection skips a candidate).",
+			"rescan = one selection (a scan of the unassigned billboards not yet rejected by the model), "+
+			"hit = always 0 (no selection skips a candidate).",
 		"event")
 	m.solveCache = reg.CounterVec("mroamd_solve_cache_events_total",
 		"Solve-result cache outcomes: hit = served from cache, miss = a new solve started, "+

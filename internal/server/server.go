@@ -616,9 +616,26 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// MaxDeadline) so an impatient client cannot starve the rest. This
 		// request still waits under its own ctx.
 		var info solvecache.Info
-		res, info = s.cache.Do(ctx, key, func(fctx context.Context) *core.Anytime {
-			return s.cfg.solve(fctx, alg, entry.Instance)
-		})
+		for {
+			inst := entry.Instance
+			res, info = s.cache.Do(ctx, key, func(fctx context.Context) *core.Anytime {
+				return s.cfg.solve(fctx, alg, inst)
+			})
+			if info.Outcome != solvecache.Stale {
+				break
+			}
+			// A reload or PATCH replaced the snapshot admission resolved
+			// and dropped its cached result: answer from the current
+			// snapshot, so no build is solved twice.
+			next, ok := s.catalog.Get(req.Instance)
+			if !ok {
+				fail(http.StatusNotFound, "error", "unknown instance %q", req.Instance)
+				return
+			}
+			entry = next
+			key.Generation, key.Model = entry.Generation, entry.Info.Model
+			lc.noteTarget(entry.Name, alg.Name(), entry.Info.Model)
+		}
 		switch info.Outcome {
 		case solvecache.Hit:
 			cached, age = true, info.Age
@@ -827,10 +844,11 @@ func (s *Server) handleInstancePut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.reloads.Inc()
 	if s.cache != nil && existed {
-		// Entries for the replaced generations could never be hit again
-		// (the key carries the generation), but dropping them returns
-		// their capacity immediately.
-		s.cache.InvalidateInstance(name)
+		// Requests that resolved a replaced generation may still be on
+		// their way to the cache: raising the floor makes them re-resolve
+		// rather than solve the dead build again, and dropping its entries
+		// returns their capacity immediately.
+		s.cache.InvalidateInstance(name, e.Generation)
 	}
 	// A reload rebuilds the advertiser set from scratch — no index mapping
 	// survives, so any incumbent plans for the name are dead.
@@ -852,6 +870,7 @@ func (s *Server) handleInstancePut(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleInstanceDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	old, _ := s.catalog.Get(name)
 	err := s.catalog.Delete(name)
 	switch {
 	case errors.Is(err, catalog.ErrNotFound):
@@ -868,8 +887,11 @@ func (s *Server) handleInstanceDelete(w http.ResponseWriter, r *http.Request) {
 	// reloaded its counter restarts at zero (the Prometheus reset semantic).
 	s.metrics.instanceReqs.Delete(name)
 	s.metrics.instanceInflight.Delete(name)
-	if s.cache != nil {
-		s.cache.InvalidateInstance(name)
+	if s.cache != nil && old != nil {
+		// Any later entry under the name is a new build with a larger
+		// generation. (old is nil only when the name was created between
+		// the Get and the Delete; its entries then age out via LRU.)
+		s.cache.InvalidateInstance(name, old.Generation+1)
 	}
 	s.dropIncumbents(name)
 	s.log.Info("instance deleted", "instance", name)

@@ -571,3 +571,151 @@ func TestCacheHammerUnderHotSwap(t *testing.T) {
 	ts.Close()
 	assertNoGoroutineLeak(t, baseline)
 }
+
+// TestStaleGenerationReresolves forces the interleaving behind the hot-swap
+// compute-once contract: a request resolves generation g and queues for a
+// worker while g's flight is still running; the flight stores g's result;
+// a reload installs g' and drops that entry; only then does the queued
+// request reach the cache. It must re-resolve and answer from g' rather
+// than solve g a second time.
+func TestStaleGenerationReresolves(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	specOld, specNew := serverSpec(5), serverSpec(6)
+	baseNew := baselineFor(t, specNew)
+	cat := catalog.New()
+	entry0, err := cat.Load("A", specOld)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first two solver executions wait for their gate; solves counts
+	// executions per (build, algorithm).
+	type run struct {
+		in  *core.Instance
+		alg string
+	}
+	var mu sync.Mutex
+	solves := make(map[run]int)
+	calls := 0
+	gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	s, err := New(Config{
+		Catalog:      cat,
+		Workers:      1,
+		QueueDepth:   4,
+		CacheEntries: 8,
+		solve: func(ctx context.Context, alg core.Algorithm, in *core.Instance) *core.Anytime {
+			mu.Lock()
+			solves[run{in, alg.Name()}]++
+			k := calls
+			calls++
+			mu.Unlock()
+			if k < len(gates) {
+				<-gates[k]
+			}
+			return core.SolveAnytime(ctx, alg, in)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	started := func(n int) func() bool {
+		return func() bool { mu.Lock(); defer mu.Unlock(); return calls == n }
+	}
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	send := func(ctx context.Context, req SolveRequest) <-chan reply {
+		out := make(chan reply, 1)
+		body, _ := json.Marshal(req)
+		go func() {
+			hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/solve", bytes.NewReader(body))
+			if err != nil {
+				out <- reply{err: err}
+				return
+			}
+			resp, err := ts.Client().Do(hreq)
+			if err != nil {
+				out <- reply{err: err}
+				return
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			out <- reply{resp.StatusCode, raw, err}
+		}()
+		return out
+	}
+	bls := SolveRequest{Algorithm: "BLS", Restarts: 2, Seed: 9, Instance: "A"}
+
+	// 1. The leader starts g's flight, then hangs up: the flight keeps
+	// running detached and the worker slot frees.
+	ctx0, cancel0 := context.WithCancel(context.Background())
+	r0 := send(ctx0, bls)
+	waitFor("the leader's flight", started(1))
+	cancel0()
+	<-r0
+	waitFor("the leader to free its worker", func() bool { return len(s.workers) == 0 })
+	// 2. Another request takes the only worker.
+	r1 := send(context.Background(), SolveRequest{Algorithm: "G-Global", Instance: "A"})
+	waitFor("the worker to be taken", started(2))
+	// 3. The repeat resolves g, misses (the flight has not stored) and
+	// queues.
+	r2 := send(context.Background(), bls)
+	waitFor("the repeat to queue", func() bool { return len(s.queue) == 1 })
+	// 4. g's flight stores, then a reload drops the entry.
+	close(gates[0])
+	waitFor("g's result to be stored", func() bool { return s.cache.Len() == 1 })
+	body, _ := json.Marshal(specNew)
+	putReq, err := http.NewRequest(http.MethodPut, ts.URL+"/instances/A", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	putResp, err := ts.Client().Do(putReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, putResp.Body)
+	putResp.Body.Close()
+	if putResp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: %d", putResp.StatusCode)
+	}
+	// 5. The worker frees and the repeat reaches the cache with key g.
+	close(gates[1])
+	if got := <-r1; got.err != nil || got.status != http.StatusOK {
+		t.Fatalf("G-Global solve: %d %v %s", got.status, got.err, got.body)
+	}
+	got := <-r2
+	if got.err != nil || got.status != http.StatusOK {
+		t.Fatalf("repeat solve: %d %v %s", got.status, got.err, got.body)
+	}
+	var resp SolveResponse
+	if err := json.Unmarshal(got.body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Generation <= entry0.Generation || resp.TotalRegret != baseNew.regret ||
+		resp.Evals != baseNew.evals || resp.Advertisers != baseNew.advertisers {
+		t.Errorf("repeat answered generation %d %+v, want the reloaded build's baseline %+v",
+			resp.Generation, resp, baseNew)
+	}
+	mu.Lock()
+	for r, n := range solves {
+		if n != 1 {
+			t.Errorf("build %p solved %d times with %s, want 1", r.in, n, r.alg)
+		}
+	}
+	mu.Unlock()
+
+	ts.Client().CloseIdleConnections()
+	ts.Close()
+	assertNoGoroutineLeak(t, baseline)
+}

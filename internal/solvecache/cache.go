@@ -36,9 +36,9 @@ import (
 
 // Key is the canonical request tuple a solve result is a pure function of.
 // Generation identifies the exact catalog build (a hot-swap installs a
-// strictly larger generation, so stale entries can never be hit again), and
-// the remaining fields pin the algorithm configuration. Worker counts are
-// deliberately absent: results are bit-identical for any parallelism.
+// strictly larger generation), and the remaining fields pin the algorithm
+// configuration. Worker counts are deliberately absent: results are
+// bit-identical for any parallelism.
 type Key struct {
 	// Instance is the catalog name the request resolved.
 	Instance string
@@ -92,6 +92,11 @@ const (
 	// Expired: the requester's own context fired before the flight
 	// finished; no result is returned. The flight keeps running.
 	Expired
+	// Stale: the key's generation is below its instance's floor (see
+	// InvalidateInstance) — the snapshot the caller resolved has been
+	// replaced since. No solve ran and no result is returned; the caller
+	// should resolve the instance again and retry with the new key.
+	Stale
 )
 
 // Info annotates a Do result.
@@ -128,6 +133,7 @@ type Cache struct {
 	ll      *list.List            // front = most recently used
 	items   map[Key]*list.Element // key -> element whose Value is *entry
 	flights map[Key]*flight       // solves currently in progress
+	floors  map[string]uint64     // instance -> lowest generation still served
 }
 
 type entry struct {
@@ -157,6 +163,7 @@ func New(cfg Config) *Cache {
 		ll:      list.New(),
 		items:   make(map[Key]*list.Element),
 		flights: make(map[Key]*flight),
+		floors:  make(map[string]uint64),
 	}
 }
 
@@ -194,9 +201,14 @@ func (c *Cache) Lookup(key Key) (*core.Anytime, time.Duration, bool) {
 // later callers wait on the same flight. Every caller — the leader included
 // — waits under its own ctx and returns Expired with a nil result if ctx
 // fires first; the flight is unaffected and still fills the cache when it
-// completes untruncated.
+// completes untruncated. A key below its instance's generation floor
+// returns Stale at once, without solving.
 func (c *Cache) Do(ctx context.Context, key Key, solve func(context.Context) *core.Anytime) (*core.Anytime, Info) {
 	c.mu.Lock()
+	if key.Generation < c.floors[key.Instance] {
+		c.mu.Unlock()
+		return nil, Info{Outcome: Stale}
+	}
 	if el, ok := c.items[key]; ok {
 		// A flight completed between the caller's Lookup and this Do.
 		c.ll.MoveToFront(el)
@@ -245,9 +257,11 @@ func (c *Cache) runFlight(key Key, f *flight, solve func(context.Context) *core.
 	evicted := 0
 	c.mu.Lock()
 	delete(c.flights, key)
-	if res != nil && !res.Truncated {
+	if res != nil && !res.Truncated && key.Generation >= c.floors[key.Instance] {
 		// Only the untruncated fixed point is cacheable: a truncated plan
 		// reflects this flight's wall-clock budget, not the request tuple.
+		// A flight whose generation was invalidated while it ran still
+		// answers its waiters but stores nothing.
 		evicted = c.storeLocked(key, res)
 	}
 	c.mu.Unlock()
@@ -278,20 +292,28 @@ func (c *Cache) storeLocked(key Key, res *core.Anytime) int {
 	return evicted
 }
 
-// InvalidateInstance drops every entry whose key names instance, for any
-// generation, and returns how many were dropped (each also fires an evicted
-// event). The serving layer calls it when an instance is deleted or
-// reloaded; reloads would be correct without it (the new generation can
-// never hit an old key) but dropping the dead entries returns their
-// capacity immediately. Flights in progress for the instance are not
-// cancelled — their entries land and age out via LRU order.
-func (c *Cache) InvalidateInstance(instance string) int {
+// InvalidateInstance raises instance's generation floor to floor and drops
+// every entry of instance below it, returning how many were dropped (each
+// also fires an evicted event). The serving layer calls it when an
+// instance is reloaded or patched, with the generation just installed, and
+// when it is deleted, with the deleted generation + 1. Keys below the floor
+// are stale from then on: Do answers them Stale, so a request that
+// resolved the replaced snapshot re-resolves instead of solving a dead
+// build a second time after its entry was dropped, and a flight for one
+// still answers its waiters but stores nothing. Entries at or above the
+// floor — a fresh generation solved before its reload's invalidation ran —
+// stay. Floors only rise.
+func (c *Cache) InvalidateInstance(instance string, floor uint64) int {
 	c.mu.Lock()
+	if floor > c.floors[instance] {
+		c.floors[instance] = floor
+	}
+	floor = c.floors[instance]
 	dropped := 0
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
 		e := el.Value.(*entry)
-		if e.key.Instance == instance {
+		if e.key.Instance == instance && e.key.Generation < floor {
 			c.ll.Remove(el)
 			delete(c.items, e.key)
 			dropped++

@@ -293,7 +293,7 @@ func TestInvalidateInstance(t *testing.T) {
 	fill(t, c, key("a", 2, 1), res(2)) // older generation of the same name
 	fill(t, c, key("b", 3, 1), res(3))
 
-	if n := c.InvalidateInstance("a"); n != 2 {
+	if n := c.InvalidateInstance("a", 3); n != 2 {
 		t.Errorf("invalidated %d, want 2", n)
 	}
 	if c.Len() != 1 {
@@ -308,8 +308,75 @@ func TestInvalidateInstance(t *testing.T) {
 	if ev.get(EventEvicted) != 2 {
 		t.Errorf("evicted events %d, want 2", ev.get(EventEvicted))
 	}
-	if n := c.InvalidateInstance("missing"); n != 0 {
+	if n := c.InvalidateInstance("missing", 1); n != 0 {
 		t.Errorf("invalidating an absent instance dropped %d", n)
+	}
+}
+
+// TestGenerationFloor pins the floor InvalidateInstance raises: a key below
+// it is Stale (no solve runs), an entry at or above it survives, a flight
+// that was invalidated while it ran answers its waiter but stores nothing,
+// and a lower floor never lowers it.
+func TestGenerationFloor(t *testing.T) {
+	c := New(Config{Entries: 8})
+	fill(t, c, key("a", 1, 1), res(1))
+	if n := c.InvalidateInstance("a", 2); n != 1 {
+		t.Errorf("invalidated %d, want 1", n)
+	}
+	solved := false
+	got, info := c.Do(context.Background(), key("a", 1, 1), func(context.Context) *core.Anytime {
+		solved = true
+		return res(1)
+	})
+	if got != nil || info.Outcome != Stale || solved {
+		t.Fatalf("stale key: got %v outcome %v solved %v, want nil Stale unsolved", got, info.Outcome, solved)
+	}
+
+	// An entry at the floor is live, and re-invalidating at the same floor
+	// keeps it.
+	fill(t, c, key("a", 2, 1), res(2))
+	if n := c.InvalidateInstance("a", 2); n != 0 {
+		t.Errorf("invalidated %d at an unchanged floor, want 0", n)
+	}
+	if _, _, ok := c.Lookup(key("a", 2, 1)); !ok {
+		t.Error("entry at the floor was dropped")
+	}
+
+	// A flight invalidated mid-solve still answers, but does not store.
+	release := make(chan struct{})
+	r3 := res(3)
+	out := make(chan *core.Anytime)
+	go func() {
+		got, _ := c.Do(context.Background(), key("a", 3, 1), func(context.Context) *core.Anytime {
+			<-release
+			return r3
+		})
+		out <- got
+	}()
+	for {
+		c.mu.Lock()
+		inFlight := len(c.flights)
+		c.mu.Unlock()
+		if inFlight == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.InvalidateInstance("a", 4)
+	close(release)
+	if got := <-out; got != r3 {
+		t.Fatalf("invalidated flight answered %v, want its own result", got)
+	}
+	if c.Len() != 0 {
+		t.Errorf("len %d: a flight below the floor stored its result", c.Len())
+	}
+
+	c.InvalidateInstance("a", 1)
+	if _, info := c.Do(context.Background(), key("a", 3, 1), func(context.Context) *core.Anytime { return r3 }); info.Outcome != Stale {
+		t.Errorf("outcome %v after a lower floor, want Stale: floors only rise", info.Outcome)
+	}
+	if _, info := c.Do(context.Background(), key("b", 1, 1), func(context.Context) *core.Anytime { return r3 }); info.Outcome != Led {
+		t.Errorf("other instance: outcome %v, want Led", info.Outcome)
 	}
 }
 
