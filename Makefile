@@ -37,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseServerTiming$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzGridWithin$$' -fuzztime 10s ./internal/geo
+	$(GO) test -run '^$$' -fuzz '^FuzzTripDraw$$' -fuzztime 10s ./internal/dataset
 
 vet:
 	$(GO) vet ./...
@@ -295,7 +296,8 @@ bench-kernels:
 # bench-build reproduces the build-layer numbers recorded in CHANGES.md and
 # DESIGN.md §12: filling the cell-ordered grid, one λ-radius query against
 # it, and the fused streaming build (generation, chunked join, corridor
-# assignment) on 50k NYC trips.
+# assignment) on 50k paper-scale NYC trips and on the default NYC tier
+# (40k trips, 400 billboards), the build mroamd runs per fleet entry.
 bench-build:
 	$(GO) test -run '^$$' -bench '^(BenchmarkGridBuild|BenchmarkGridWithin)$$' -benchmem ./internal/geo
 	$(GO) test -run '^$$' -bench '^BenchmarkGenerateUniverse$$' -benchmem ./internal/dataset

@@ -178,14 +178,42 @@ func Generate(c Config) (*Dataset, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	bills, draw, err := newCity(c)
+	if err != nil {
+		return nil, err
+	}
+	trips := make([]trajectory.Trajectory, c.Trajectories)
+	for i := range trips {
+		p := draw()
+		trips[i] = p.trip()
+	}
+	tdb, err := trajectory.NewDB(trips)
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{Config: c, Trajectories: tdb, Billboards: billboard.NewDB(bills)}, nil
+}
+
+// newCity builds the fixed infrastructure of the configured city — the
+// street grid or bus routes, and the billboard inventory — and returns the
+// inventory with the city's trip draw, which makes each successive trip's
+// random choices. Generate and GenerateUniverse both start here, so they see
+// the same city and the same trips: every part comes from its own named
+// substream of the city's seed, and trips from the one "trips" substream,
+// in trip order.
+func newCity(c Config) ([]billboard.Billboard, func() tripPlan, error) {
 	r := rng.New(c.Seed).Derive(c.City.String())
+	tripRNG := r.Derive("trips")
 	switch c.City {
 	case NYC:
-		return generateNYC(c, r)
+		grid := newNYCGrid(c, r.Derive("grid"))
+		bills := genNYCBillboards(c, grid, r.Derive("billboards"))
+		return bills, func() tripPlan { return grid.drawTrip(tripRNG) }, nil
 	case SG:
-		return generateSG(c, r)
+		routes, bills, cdf := genSGNetwork(c, r)
+		return bills, func() tripPlan { return drawSGTrip(c, routes, cdf, tripRNG) }, nil
 	default:
-		return nil, fmt.Errorf("dataset: unknown city %d", c.City)
+		return nil, nil, fmt.Errorf("dataset: unknown city %d", c.City)
 	}
 }
 

@@ -288,7 +288,7 @@ func TestLoadMissingDir(t *testing.T) {
 }
 
 func TestDensify(t *testing.T) {
-	pts := densify([]geo.Point{{X: 0, Y: 0}, {X: 300, Y: 0}}, 100)
+	pts := densify(nil, []geo.Point{{X: 0, Y: 0}, {X: 300, Y: 0}}, 100)
 	if len(pts) < 4 {
 		t.Fatalf("densify produced %d points, want >= 4", len(pts))
 	}
@@ -301,13 +301,13 @@ func TestDensify(t *testing.T) {
 		}
 	}
 	// Zero-length segments must not divide by zero or drop waypoints.
-	same := densify([]geo.Point{{X: 5, Y: 5}, {X: 5, Y: 5}}, 100)
+	same := densify(nil, []geo.Point{{X: 5, Y: 5}, {X: 5, Y: 5}}, 100)
 	if len(same) != 1 {
 		t.Fatalf("densify of coincident points = %d points, want 1", len(same))
 	}
 	// The output is allocated at its exact length (no append slack): a
 	// Manhattan-style polyline with a repeated waypoint and uneven legs.
-	legs := densify([]geo.Point{{X: 0, Y: 0}, {X: 0, Y: 0}, {X: 250, Y: 0}, {X: 250, Y: 730}, {X: 40, Y: 730}}, 33)
+	legs := densify(nil, []geo.Point{{X: 0, Y: 0}, {X: 0, Y: 0}, {X: 250, Y: 0}, {X: 250, Y: 730}, {X: 40, Y: 730}}, 33)
 	if cap(legs) != len(legs) {
 		t.Fatalf("densify returned len %d, cap %d; want an exact-size allocation", len(legs), cap(legs))
 	}

@@ -147,28 +147,7 @@ func (g *nycGrid) sampleAvenueNear(r *rng.RNG, a0, a1 int) int {
 // faithfully.
 const nycTripPointSpacing = 90
 
-// generateNYC builds the taxi dataset.
-func generateNYC(c Config, r *rng.RNG) (*Dataset, error) {
-	grid := newNYCGrid(c, r.Derive("grid"))
-
-	trips := make([]trajectory.Trajectory, 0, c.Trajectories)
-	tripRNG := r.Derive("trips")
-	for i := 0; i < c.Trajectories; i++ {
-		trips = append(trips, genNYCTrip(grid, tripRNG))
-	}
-	tdb, err := trajectory.NewDB(trips)
-	if err != nil {
-		return nil, err
-	}
-
-	bills := genNYCBillboards(c, grid, r.Derive("billboards"))
-	return &Dataset{Config: c, Trajectories: tdb, Billboards: billboard.NewDB(bills)}, nil
-}
-
-// genNYCBillboards places the billboard inventory on the grid. It is shared
-// by the materializing generator above and the streaming paper-scale build
-// (stream.go); both derive bbRNG from the same "billboards" substream, so
-// inventories are identical between the two paths.
+// genNYCBillboards places the billboard inventory on the grid.
 func genNYCBillboards(c Config, grid *nycGrid, bbRNG *rng.RNG) []billboard.Billboard {
 	bills := make([]billboard.Billboard, 0, c.Billboards)
 	for i := 0; i < c.Billboards; i++ {
@@ -197,11 +176,11 @@ func genNYCBillboards(c Config, grid *nycGrid, bbRNG *rng.RNG) []billboard.Billb
 	return bills
 }
 
-// genNYCTrip samples one L-shaped grid trip:
+// drawTrip makes one L-shaped grid trip's random choices:
 // origin → (along origin street to the via avenue) → (along the via avenue
 // to the destination street) → (along the destination street to the
 // destination avenue).
-func genNYCTrip(g *nycGrid, r *rng.RNG) trajectory.Trajectory {
+func (g *nycGrid) drawTrip(r *rng.RNG) tripPlan {
 	c := g.cfg
 	a0, s0 := g.sampleNode(r)
 
@@ -221,22 +200,81 @@ func genNYCTrip(g *nycGrid, r *rng.RNG) trajectory.Trajectory {
 	// origin-destination corridor (drivers do not detour across town).
 	via := g.sampleAvenueNear(r, a0, a1)
 
-	waypoints := []geo.Point{
+	p := tripPlan{corners: [4]geo.Point{
 		{X: g.avenueX[a0], Y: g.streetY[s0]},
 		{X: g.avenueX[via], Y: g.streetY[s0]},
 		{X: g.avenueX[via], Y: g.streetY[s1]},
 		{X: g.avenueX[a1], Y: g.streetY[s1]},
-	}
-	points := densify(waypoints, nycTripPointSpacing)
-	return finishTrip(points, c.TripSpeedMPS, r)
+	}}
+	p.drawPace(c.TripSpeedMPS, r)
+	return p
 }
 
-// densify resamples a waypoint polyline at roughly the given spacing,
-// always keeping the waypoints themselves. The output is allocated once at
-// its exact length: trips hold most of a generated dataset's memory, and
-// append's doubling would leave up to half of every trip's points as slack
-// and garbage.
-func densify(waypoints []geo.Point, spacing float64) []geo.Point {
+// tripPlan is one trip's random choices: the route its points follow, its
+// speed and its start time. Drawing plans is sequential, since every trip
+// takes its choices from the one "trips" substream in trip order; laying a
+// plan out into points and offsets draws nothing, so plans can be laid out
+// in any order, on any core.
+type tripPlan struct {
+	// corners is an NYC trip's L-shaped route, densified at
+	// nycTripPointSpacing when stops is nil.
+	corners [4]geo.Point
+	// stops, when non-nil, are the trip's points: an SG ride's stops, a
+	// view of its route's stops.
+	stops []geo.Point
+	speed float64 // meters/second, the city's speed with this trip's noise
+	start int32   // seconds into the day
+}
+
+// drawPace draws the trip's speed, the city's speedMPS with ±15% noise, and
+// its start time within one day.
+func (p *tripPlan) drawPace(speedMPS float64, r *rng.RNG) {
+	p.speed = speedMPS * r.Range(0.85, 1.15)
+	p.start = int32(r.Intn(86400))
+}
+
+// appendPoints appends the trip's points to dst.
+func (p *tripPlan) appendPoints(dst []geo.Point) []geo.Point {
+	if p.stops != nil {
+		return append(dst, p.stops...)
+	}
+	return densify(dst, p.corners[:], nycTripPointSpacing)
+}
+
+// extent returns the bounding box of the trip's route, which holds every
+// point up to rounding in the interpolation, and the number of its points.
+func (p *tripPlan) extent() (geo.Rect, int) {
+	if p.stops != nil {
+		return geo.BoundingRect(p.stops), len(p.stops)
+	}
+	return geo.BoundingRect(p.corners[:]), densifiedLen(p.corners[:], nycTripPointSpacing)
+}
+
+// trip builds the trajectory p plans, with its own points and offsets.
+func (p *tripPlan) trip() trajectory.Trajectory {
+	points := p.appendPoints(nil)
+	offsets := make([]float64, len(points))
+	timeOffsets(offsets, points, p.speed)
+	return trajectory.Trajectory{Points: points, Start: time.Unix(int64(p.start), 0).UTC(), Offsets: offsets}
+}
+
+// timeOffsets sets offsets[i] to the time to travel at speed from points[0]
+// to points[i] along the path, and returns the path's length. offsets must
+// have the length of points.
+func timeOffsets(offsets []float64, points []geo.Point, speed float64) float64 {
+	cum := 0.0
+	for i := 1; i < len(points); i++ {
+		cum += points[i-1].Dist(points[i])
+		offsets[i] = cum / speed
+	}
+	if len(offsets) > 0 {
+		offsets[0] = 0
+	}
+	return cum
+}
+
+// densifiedLen returns the number of points densify makes of waypoints.
+func densifiedLen(waypoints []geo.Point, spacing float64) int {
 	n := 1
 	for i := 1; i < len(waypoints); i++ {
 		d := waypoints[i-1].Dist(waypoints[i])
@@ -245,34 +283,31 @@ func densify(waypoints []geo.Point, spacing float64) []geo.Point {
 			n++
 		}
 	}
-	out := make([]geo.Point, 1, n)
-	out[0] = waypoints[0]
+	return n
+}
+
+// densify appends to dst the waypoint polyline resampled at roughly the
+// given spacing, always keeping the waypoints themselves. When dst lacks
+// room, it grows to exactly the length needed: trips hold most of a
+// generated dataset's memory, and append's doubling would leave up to half
+// of every trip's points as slack and garbage.
+func densify(dst, waypoints []geo.Point, spacing float64) []geo.Point {
+	if n := densifiedLen(waypoints, spacing); cap(dst)-len(dst) < n {
+		dst = append(make([]geo.Point, 0, len(dst)+n), dst...)
+	}
+	dst = append(dst, waypoints[0])
 	for i := 1; i < len(waypoints); i++ {
 		from, to := waypoints[i-1], waypoints[i]
 		d := from.Dist(to)
 		steps := int(d / spacing)
 		for k := 1; k <= steps; k++ {
-			out = append(out, from.Lerp(to, float64(k)/float64(steps+1)))
+			dst = append(dst, from.Lerp(to, float64(k)/float64(steps+1)))
 		}
 		if d > 0 {
-			out = append(out, to)
+			dst = append(dst, to)
 		}
 	}
-	return out
-}
-
-// finishTrip attaches travel-time offsets (cumulative distance over a noisy
-// speed) and a random start time within one day.
-func finishTrip(points []geo.Point, speedMPS float64, r *rng.RNG) trajectory.Trajectory {
-	speed := speedMPS * r.Range(0.85, 1.15)
-	offsets := make([]float64, len(points))
-	cum := 0.0
-	for i := 1; i < len(points); i++ {
-		cum += points[i-1].Dist(points[i])
-		offsets[i] = cum / speed
-	}
-	start := time.Unix(int64(r.Intn(86400)), 0).UTC()
-	return trajectory.Trajectory{Points: points, Start: start, Offsets: offsets}
+	return dst
 }
 
 func clampInt(v, lo, hi int) int {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/billboard"
 	"repro/internal/geo"
 	"repro/internal/rng"
-	"repro/internal/trajectory"
 )
 
 // The SG generator models bus-based movement: a set of bus routes, each a
@@ -28,29 +27,9 @@ type sgRoute struct {
 	firstBB int
 }
 
-// generateSG builds the bus dataset.
-func generateSG(c Config, r *rng.RNG) (*Dataset, error) {
-	routes, bills, cdf := genSGNetwork(c, r)
-
-	tripRNG := r.Derive("trips")
-	trips := make([]trajectory.Trajectory, 0, c.Trajectories)
-	for i := 0; i < c.Trajectories; i++ {
-		route := &routes[sampleCDF(cdf, tripRNG)]
-		trips = append(trips, genSGTrip(c, route, tripRNG))
-	}
-	tdb, err := trajectory.NewDB(trips)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{Config: c, Trajectories: tdb, Billboards: billboard.NewDB(bills)}, nil
-}
-
 // genSGNetwork generates the fixed infrastructure of the bus city: the
 // routes, the billboard inventory (one per stop, laid out route-major), and
-// the ridership CDF trips are drawn from. It is shared by the materializing
-// generator above and the streaming paper-scale build (stream.go); both use
-// the same "routes"/"ridership" substreams, so networks are identical
-// between the two paths.
+// the ridership CDF trips are drawn from.
 func genSGNetwork(c Config, r *rng.RNG) (routes []sgRoute, bills []billboard.Billboard, cdf []float64) {
 	routeRNG := r.Derive("routes")
 	routes = make([]sgRoute, c.Routes)
@@ -98,10 +77,12 @@ func genSGRoute(c Config, r *rng.RNG) sgRoute {
 	return sgRoute{stops: stops}
 }
 
-// genSGTrip samples one ride on the route: board at a random stop, ride
-// 4-14 stops (clamped to the route end), with points at each visited stop.
-func genSGTrip(c Config, route *sgRoute, r *rng.RNG) trajectory.Trajectory {
-	n := len(route.stops)
+// drawSGTrip makes one bus ride's random choices: a route by ridership, and
+// on it a ride of 4-14 stops (clamped to the route end), whose points are
+// the visited stops.
+func drawSGTrip(c Config, routes []sgRoute, cdf []float64, r *rng.RNG) tripPlan {
+	stops := routes[sampleCDF(cdf, r)].stops
+	n := len(stops)
 	// Ride length first (4..15 inter-stop hops, mean 9.5 ≈ 4.3 km at the
 	// default spacing), then a boarding stop that fits; only rides longer
 	// than the whole route get clamped.
@@ -110,12 +91,9 @@ func genSGTrip(c Config, route *sgRoute, r *rng.RNG) trajectory.Trajectory {
 		ride = n - 1
 	}
 	board := r.Intn(n - ride)
-	alight := board + ride
-	points := make([]geo.Point, 0, alight-board+1)
-	for k := board; k <= alight; k++ {
-		points = append(points, route.stops[k])
-	}
-	return finishTrip(points, c.BusSpeedMPS, r)
+	p := tripPlan{stops: stops[board : board+ride+1]}
+	p.drawPace(c.BusSpeedMPS, r)
+	return p
 }
 
 // sampleCDF draws an index proportionally to the weights behind the

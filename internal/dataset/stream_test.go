@@ -11,7 +11,6 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/geo"
 	"repro/internal/influence"
-	"repro/internal/trajectory"
 )
 
 // TestStreamedBuildMatchesMaterialized is the streaming path's correctness
@@ -117,9 +116,12 @@ func sameBuild(got *Streamed, d *Dataset, want *coverage.Universe, wantStats cov
 	return nil
 }
 
-// TestStreamingLeavesNoGoroutines checks that the generator and join
+// TestStreamingLeavesNoGoroutines checks that the drawing, layout and join
 // goroutines have exited once a streamed build returns, both on success and
-// when a generated trip fails validation mid-stream.
+// when a trip fails validation mid-stream, and that the failure is the
+// first invalid trip's, as trajectory.Validate reports it. With three
+// workers and small chunks, the bad chunk is laid out while later chunks
+// are in flight, and chunks after it hold invalid trips too.
 func TestStreamingLeavesNoGoroutines(t *testing.T) {
 	start := runtime.NumGoroutine()
 	if _, err := GenerateUniverse(DefaultNYC(3).Scale(0.02), StreamOptions{Lambda: 100, ChunkSize: 100}); err != nil {
@@ -128,18 +130,40 @@ func TestStreamingLeavesNoGoroutines(t *testing.T) {
 	waitForGoroutines(t, start)
 
 	bdb := billboard.NewDB([]billboard.Billboard{{Loc: geo.Point{X: 1, Y: 1}}})
-	drawn := 0
-	nextTrip := func() trajectory.Trajectory {
-		drawn++
-		if drawn == 250 {
-			return trajectory.Trajectory{} // no points: invalid
-		}
-		return trajectory.Trajectory{Points: []geo.Point{{X: 1, Y: 1}}}
+	good := tripPlan{stops: []geo.Point{{X: 1, Y: 1}, {X: 2, Y: 1}}, speed: 1}
+	noPoints := tripPlan{stops: []geo.Point{}, speed: 1}
+	// A negative speed makes offsets decrease from the first point on.
+	backwards := tripPlan{stops: []geo.Point{{X: 1, Y: 1}, {X: 2, Y: 1}}, speed: -1}
+	for _, tc := range []struct {
+		name    string
+		opts    StreamOptions
+		bad     map[int]tripPlan // by trip ID
+		wantErr string
+	}{
+		{"no points", StreamOptions{Lambda: 100, ChunkSize: 100}, map[int]tripPlan{249: noPoints},
+			"trajectory 249: no points"},
+		{"parallel", StreamOptions{Lambda: 100, ChunkSize: 10, Parallelism: 3},
+			map[int]tripPlan{37: backwards, 38: noPoints, 45: noPoints, 52: noPoints},
+			"trajectory 37: offsets decrease at index 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := runtime.NumGoroutine()
+			drawn := 0
+			draw := func() tripPlan {
+				p, ok := tc.bad[drawn]
+				if !ok {
+					p = good
+				}
+				drawn++
+				return p
+			}
+			_, _, err := streamUniverse(1000, draw, bdb, tc.opts)
+			if err == nil || err.Error() != tc.wantErr {
+				t.Fatalf("error %v, want %q", err, tc.wantErr)
+			}
+			waitForGoroutines(t, start)
+		})
 	}
-	if _, _, err := streamUniverse(1000, nextTrip, bdb, StreamOptions{Lambda: 100, ChunkSize: 100}); err == nil {
-		t.Fatal("invalid trip accepted")
-	}
-	waitForGoroutines(t, start)
 }
 
 // waitForGoroutines fails the test unless the goroutine count falls back to
@@ -186,15 +210,26 @@ var streamedSink *Streamed
 
 // BenchmarkGenerateUniverse measures the fused streaming build — trip
 // generation, the chunked spatial join and corridor assignment — on a
-// 50k-trajectory slice of the paper's NYC configuration.
+// 50k-trajectory slice of the paper's NYC configuration, and on the default
+// NYC tier, the build mroamd runs for each generated fleet entry.
 func BenchmarkGenerateUniverse(b *testing.B) {
-	cfg := PaperNYC(42)
-	cfg.Trajectories = 50_000
-	for i := 0; i < b.N; i++ {
-		s, err := GenerateUniverse(cfg, StreamOptions{Lambda: influence.DefaultLambda})
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamedSink = s
+	paper := PaperNYC(42)
+	paper.Trajectories = 50_000
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"paper-50k", paper},
+		{"default", DefaultNYC(42)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s, err := GenerateUniverse(bc.cfg, StreamOptions{Lambda: influence.DefaultLambda})
+				if err != nil {
+					b.Fatal(err)
+				}
+				streamedSink = s
+			}
+		})
 	}
 }

@@ -518,6 +518,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			Restarts:         req.Restarts,
 			ImprovementRatio: req.ImprovementRatio,
 		}
+		// The greedy algorithms take no local-search options, so their
+		// results do not depend on these three: requests that differ only
+		// in them share one entry. The response reads none of them from
+		// the request.
+		switch alg.(type) {
+		case core.GOrderAlgorithm, core.GGlobalAlgorithm:
+			key.Seed, key.Restarts, key.ImprovementRatio = 0, 0, 0
+		}
 		lc.enterCacheLookup(time.Now())
 		if res, age, ok := s.cache.Lookup(key); ok {
 			latency := time.Since(admitted)

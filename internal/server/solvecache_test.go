@@ -719,3 +719,46 @@ func TestStaleGenerationReresolves(t *testing.T) {
 	ts.Close()
 	assertNoGoroutineLeak(t, baseline)
 }
+
+// TestSolveCacheKeyIgnoresGreedyOptions: G-Order and G-Global take no
+// local-search options, so requests for them that differ only in seed,
+// restarts or improvement ratio share one cache entry, and the cached
+// answer matches the first; for ALS and BLS the seed still picks the entry.
+func TestSolveCacheKeyIgnoresGreedyOptions(t *testing.T) {
+	s, err := New(Config{Catalog: catalogFor(t, testInstance(t, 80, 10, 3)), Workers: 2, CacheEntries: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	entries := 0
+	for _, tc := range []struct {
+		alg    string
+		shared bool
+	}{{"G-Order", true}, {"G-Global", true}, {"ALS", false}, {"BLS", false}} {
+		status, first, _ := postSolve(t, ts.Client(), ts.URL,
+			SolveRequest{Algorithm: tc.alg, Seed: 1, Restarts: 2, ImprovementRatio: 0.1})
+		if status != http.StatusOK {
+			t.Fatalf("%s: first solve answered %d", tc.alg, status)
+		}
+		status, second, _ := postSolve(t, ts.Client(), ts.URL,
+			SolveRequest{Algorithm: tc.alg, Seed: 2, Restarts: 3, ImprovementRatio: 0.3})
+		if status != http.StatusOK {
+			t.Fatalf("%s: second solve answered %d", tc.alg, status)
+		}
+		entries++
+		if !tc.shared {
+			entries++
+		}
+		if second.Cached != tc.shared {
+			t.Errorf("%s: second request cached = %v, want %v", tc.alg, second.Cached, tc.shared)
+		}
+		if tc.shared && (second.TotalRegret != first.TotalRegret || second.Evals != first.Evals ||
+			second.RestartsRequested != first.RestartsRequested) {
+			t.Errorf("%s: cached answer %+v differs from the first %+v", tc.alg, second, first)
+		}
+		if n := s.cache.Len(); n != entries {
+			t.Errorf("after %s: cache holds %d entries, want %d", tc.alg, n, entries)
+		}
+	}
+}
